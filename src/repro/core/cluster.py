@@ -10,6 +10,7 @@ association — go through this wrapper and therefore never touch raw data
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -26,6 +27,12 @@ class Cluster:
 
     ``uid`` is unique across all partitions within one mining run and is
     what the clustering graph and cliques refer to.
+
+    The cluster owns ``acf``: every construction site hands it a summary
+    nothing else holds (a finished Phase I tree's entry, an ``acf.copy()``
+    of a live streaming tree, or ``ACF.from_state`` of a worker's result),
+    and it must not be mutated afterwards.  The rendered ``str`` is
+    computed from it once and cached.
     """
 
     uid: int
@@ -74,6 +81,11 @@ class Cluster:
         return hash(self.uid)
 
     def __str__(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        """The §7.2 bounding-box description, rendered on first use."""
         lo, hi = self.bounding_box()
         parts = ", ".join(
             f"{name}:[{lo[i]:g}, {hi[i]:g}]"

@@ -14,6 +14,7 @@ consequent clusters.  Its interest measures replace the classical pair:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.core.cluster import Cluster
@@ -83,6 +84,12 @@ class DistanceRule:
         return self.antecedent_uids, self.consequent_uids
 
     def __str__(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        """The rule's description, rendered once: it is both the ranking
+        tie-break and the snapshot's stored description."""
         lhs = " & ".join(str(cluster) for cluster in self.antecedent)
         rhs = " & ".join(str(cluster) for cluster in self.consequent)
         suffix = f" (degree={self.degree:.4g}"

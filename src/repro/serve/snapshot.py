@@ -122,21 +122,21 @@ class RuleSnapshot:
             ant_uids: List[int] = []
             con_uids: List[int] = []
             con_degrees: List[float] = []
-            descriptions: List[str] = []
-            clusters: Dict[int, Dict[str, Any]] = {}
+            # Distinct clusters in first-occurrence order; each is
+            # described once below, however many rules mention it.
+            referenced: Dict[int, Any] = {}
             for i, rule in enumerate(rules):
                 degree[i] = float(rule.degree)
                 support[i] = -1 if rule.support_count is None else int(rule.support_count)
                 for cluster in rule.antecedent:
                     ant_uids.append(cluster.uid)
-                    clusters.setdefault(cluster.uid, cluster_to_dict(cluster))
+                    referenced.setdefault(cluster.uid, cluster)
                 for cluster in rule.consequent:
                     con_uids.append(cluster.uid)
                     con_degrees.append(float(rule.degrees.get(cluster.uid, rule.degree)))
-                    clusters.setdefault(cluster.uid, cluster_to_dict(cluster))
+                    referenced.setdefault(cluster.uid, cluster)
                 ant_offsets[i + 1] = len(ant_uids)
                 con_offsets[i + 1] = len(con_uids)
-                descriptions.append(str(rule))
             snapshot = cls(
                 version=version,
                 created_at=_utc_now(),
@@ -147,8 +147,11 @@ class RuleSnapshot:
                 con_offsets=con_offsets,
                 con_uids=np.asarray(con_uids, dtype=np.int64),
                 con_degrees=np.asarray(con_degrees, dtype=np.float64),
-                descriptions=descriptions,
-                clusters=clusters,
+                descriptions=[str(rule) for rule in rules],
+                clusters={
+                    uid: cluster_to_dict(cluster)
+                    for uid, cluster in referenced.items()
+                },
                 partitions=sorted(result.density_thresholds),
                 density_thresholds={
                     k: float(v) for k, v in result.density_thresholds.items()
@@ -167,22 +170,28 @@ class RuleSnapshot:
     def _build_indexes(self) -> None:
         """Derive the partition → rule-id inverted indexes from the CSR
         columns (rebuilt on load — derived state is never persisted)."""
-        ant_sets: Dict[str, List[int]] = {}
-        con_sets: Dict[str, List[int]] = {}
-        for i in range(self.n_rules):
-            for uid in self.antecedent_uids(i):
-                name = self.clusters[uid]["partition"]
-                ant_sets.setdefault(name, []).append(i)
-            for uid in self.consequent_uids(i):
-                name = self.clusters[uid]["partition"]
-                con_sets.setdefault(name, []).append(i)
-        self.antecedent_index = {
-            name: np.unique(np.asarray(ids, dtype=np.int64))
-            for name, ids in ant_sets.items()
-        }
-        self.consequent_index = {
-            name: np.unique(np.asarray(ids, dtype=np.int64))
-            for name, ids in con_sets.items()
+        self.antecedent_index = self._partition_index(self.ant_offsets, self.ant_uids)
+        self.consequent_index = self._partition_index(self.con_offsets, self.con_uids)
+
+    def _partition_index(
+        self, offsets: np.ndarray, uids: np.ndarray
+    ) -> Dict[str, np.ndarray]:
+        """Partition name → sorted unique ids of the rules whose side
+        (given as CSR ``offsets``/``uids``) mentions that partition."""
+        rule_ids = np.repeat(np.arange(self.n_rules, dtype=np.int64), np.diff(offsets))
+        distinct, inverse = np.unique(uids, return_inverse=True)
+        codes: Dict[str, int] = {}
+        partition_of = np.array(
+            [
+                codes.setdefault(self.clusters[int(uid)]["partition"], len(codes))
+                for uid in distinct
+            ],
+            dtype=np.int64,
+        )
+        per_occurrence = partition_of[inverse]
+        return {
+            name: np.unique(rule_ids[per_occurrence == code])
+            for name, code in codes.items()
         }
 
     # ------------------------------------------------------------------
