@@ -24,8 +24,9 @@ Construction paths:
 * :meth:`ColumnStore.from_arrays` / :meth:`from_tuples` /
   :meth:`from_relation` — encode in-memory data and spill it.
 * :class:`ColumnStoreWriter` — the streaming path:
-  ``load_csv(..., out_of_core=True)`` feeds it row by row and it flushes
-  every ``chunk_rows`` rows, so the CSV is never materialized.
+  ``load_csv(..., out_of_core=True)`` feeds it blocks of rows, column by
+  column, and it flushes every ``chunk_rows`` rows, so the CSV is never
+  materialized.
 * :meth:`ColumnStore.open` — reopen an existing directory.
 
 Backend failures (missing files, corrupt manifests, truncated parts)
@@ -35,6 +36,7 @@ guarded miner catches to degrade to the in-memory engine.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import shutil
@@ -92,14 +94,16 @@ def _resolve_directory(directory: Optional[PathLike]) -> Tuple[Path, bool]:
 
 
 class ColumnStoreWriter:
-    """Single-pass streaming spill: rows in, a finished store out.
+    """Single-pass streaming spill: blocks of rows in, a finished store out.
 
-    Buffers converted rows per column and flushes every ``chunk_rows``
-    rows by *appending* to each column's part files — the reason the
-    format is raw binary: nothing about the files depends on the final
-    row count, so the CSV reader never needs a counting pre-pass.
-    Nominal columns build their category vocabulary incrementally;
-    numeric columns store ``float64`` verbatim (NaN included).
+    Buffers column blocks and flushes every ``chunk_rows`` rows by
+    *appending* to each column's part files — the reason the format is
+    raw binary: nothing about the files depends on the final row count,
+    so the CSV reader never needs a counting pre-pass.  A block that
+    straddles a flush boundary is split there, so every flush but the
+    last writes exactly ``chunk_rows`` rows.  Nominal columns build their
+    category vocabulary incrementally; numeric columns store ``float64``
+    verbatim (NaN included).
 
     Use as a context manager or call :meth:`finish` explicitly;
     :meth:`abort` removes a partially written directory.
@@ -119,7 +123,9 @@ class ColumnStoreWriter:
         self.directory, self._ephemeral = _resolve_directory(directory)
         self.n_rows = 0
         self.n_bytes = 0
-        self._buffers: Dict[str, List] = {name: [] for name in schema.names}
+        #: Per attribute (schema order), the column slices buffered since
+        #: the last flush.
+        self._buffers: List[List[Sequence]] = [[] for _ in schema]
         self._buffered = 0
         self._categories: Dict[str, Dict[str, int]] = {}
         self._files: Dict[str, Path] = {}
@@ -133,33 +139,55 @@ class ColumnStoreWriter:
             if not attribute.kind.is_numeric:
                 self._categories[attribute.name] = {}
 
+    def append_block(self, columns: Sequence[Sequence]) -> None:
+        """Buffer a block of rows given column by column, in schema order.
+
+        Numeric columns are ``float64`` arrays (or sequences of floats),
+        nominal ones sequences of values; all have the block's length.
+        """
+        if len(columns) != len(self.schema):
+            raise ValueError(
+                f"block has {len(columns)} columns, schema expects {len(self.schema)}"
+            )
+        n = len(columns[0]) if columns else 0
+        start = 0
+        while start < n:
+            take = min(n - start, self.chunk_rows - self._buffered)
+            for buffer, column in zip(self._buffers, columns):
+                buffer.append(column[start:start + take])
+            start += take
+            self._buffered += take
+            self.n_rows += take
+            if self._buffered >= self.chunk_rows:
+                self.flush()
+
     def append_row(self, row: Sequence) -> None:
         """Buffer one converted row (values in schema order)."""
-        for name, value in zip(self.schema.names, row):
-            self._buffers[name].append(value)
-        self._buffered += 1
-        self.n_rows += 1
-        if self._buffered >= self.chunk_rows:
-            self.flush()
+        self.append_rows((row,))
 
     def append_rows(self, rows) -> None:
         """Buffer many rows (any iterable of schema-ordered sequences)."""
-        for row in rows:
-            self.append_row(row)
+        rows = iter(rows)
+        while True:
+            batch = list(itertools.islice(rows, self.chunk_rows - self._buffered))
+            if not batch:
+                return
+            self.append_block(
+                [[row[index] for row in batch] for index in range(len(self.schema))]
+            )
 
     def flush(self) -> None:
         """Append every buffered column slice to its part file."""
         if not self._buffered:
             return
         flushed_bytes = 0
-        for attribute in self.schema:
-            buffer = self._buffers[attribute.name]
+        for attribute, pieces in zip(self.schema, self._buffers):
             if attribute.kind.is_numeric:
-                block = np.asarray(buffer, dtype="<f8")
+                block = np.concatenate([np.asarray(piece, dtype="<f8") for piece in pieces])
             else:
                 vocabulary = self._categories[attribute.name]
-                codes = np.empty(len(buffer), dtype="<i4")
-                for i, value in enumerate(buffer):
+                codes = np.empty(self._buffered, dtype="<i4")
+                for i, value in enumerate(itertools.chain.from_iterable(pieces)):
                     if value is None:
                         codes[i] = -1
                         continue
@@ -173,7 +201,7 @@ class ColumnStoreWriter:
             with self._files[attribute.name].open("ab") as handle:
                 block.tofile(handle)
             flushed_bytes += block.nbytes
-            buffer.clear()
+            pieces.clear()
         self.n_bytes += flushed_bytes
         if obs_metrics.metrics_enabled():
             obs_metrics.inc(

@@ -1,6 +1,7 @@
 """JSON export of mining results.
 
-Serializes clusters (bounding box, centroid, size, diameter) and rules
+Serializes clusters (bounding box and centroid, or a nominal cluster's
+value; size; diameter) and rules
 (sides, degree, per-consequent degrees, optional support) into plain JSON
 structures — the integration surface for dashboards or downstream jobs.
 Everything is converted to built-in types so ``json.dumps`` works without
@@ -28,20 +29,29 @@ __all__ = [
 
 
 def cluster_to_dict(cluster: Cluster) -> Dict:
-    """JSON-ready dict describing one cluster."""
-    lo, hi = cluster.bounding_box()
-    return {
+    """JSON-ready dict describing one cluster.
+
+    An interval cluster carries its centroid and bounding box.  A nominal
+    cluster of a mixed result (a ``MixedCluster`` pure on one value) has
+    neither; it carries that ``value`` (as text) instead.
+    """
+    entry = {
         "uid": cluster.uid,
         "partition": cluster.partition.name,
         "attributes": list(cluster.partition.attributes),
         "n": cluster.n,
         "diameter": float(cluster.diameter),
-        "centroid": [float(v) for v in cluster.centroid],
-        "bounding_box": {
-            "lo": [float(v) for v in lo],
-            "hi": [float(v) for v in hi],
-        },
     }
+    if getattr(cluster, "is_nominal", False):
+        entry["value"] = str(cluster.value)
+        return entry
+    lo, hi = cluster.bounding_box()
+    entry["centroid"] = [float(v) for v in cluster.centroid]
+    entry["bounding_box"] = {
+        "lo": [float(v) for v in lo],
+        "hi": [float(v) for v in hi],
+    }
+    return entry
 
 
 def rule_to_dict(rule: DistanceRule) -> Dict:

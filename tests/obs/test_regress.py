@@ -133,8 +133,20 @@ class TestInjectedSlowdownIsFlagged:
     """End-to-end: a deliberately slowed scenario trips the gate."""
 
     def test_sleep_fault_shows_up_as_regression(self, tmp_path):
-        for _ in range(2):
-            run_scenario("streaming_update", scale=0.1, root=tmp_path)
+        # One ~15 ms run of this workload swings 2x on a shared host, and
+        # its speed drifts between seconds, so two single runs disagree
+        # by more than the 10 % band about one time in five.  The clean
+        # baseline is therefore two records taken from interleaved
+        # repeats (drift hits both alike), each the median run of its
+        # side (one stray fast or slow run sets neither).
+        run_scenario("streaming_update", scale=0.1, append=False)  # warm-up
+        sides = ([], [])
+        for _ in range(20):
+            for side in sides:
+                side.append(run_scenario("streaming_update", scale=0.1, append=False)[0])
+        for side in sides:
+            side.sort(key=lambda record: record.wall_seconds)
+            append_record(side[len(side) // 2], tmp_path)
         assert compare_scenario("streaming_update", tmp_path).status != REGRESSION
 
         # streaming_update fires the `streaming.update` fault point once

@@ -123,3 +123,48 @@ class TestCompileSnapshotDispatch:
     def test_garbage_source_rejected(self):
         with pytest.raises(TypeError, match="compile_snapshot"):
             compile_snapshot(42)
+
+
+class TestMixedResult:
+    """A mixed result's nominal clusters have a value, not a box."""
+
+    @pytest.fixture(scope="class")
+    def mixed_result(self):
+        from repro.mixed.miner import MixedDARMiner
+        from tests.mixed.test_miner import make_mixed_relation
+
+        return MixedDARMiner().mine_mixed(make_mixed_relation())
+
+    def test_compile_save_load_and_query_by_nominal_target(self, mixed_result, tmp_path):
+        from repro.serve.query import QueryEngine, RuleQuery
+
+        snapshot = compile_snapshot(mixed_result)
+        path = tmp_path / "mixed.snap"
+        snapshot.save(path)
+        loaded = RuleSnapshot.load(path)
+        assert loaded.state_dict() == snapshot.state_dict()
+
+        nominal = {
+            cluster.uid: cluster
+            for rule in mixed_result.rules
+            for cluster in rule.consequent
+            if cluster.is_nominal
+        }
+        assert nominal
+        for uid, cluster in nominal.items():
+            entry = loaded.clusters[uid]
+            assert entry["value"] == str(cluster.value)
+            assert entry["n"] == cluster.n
+            assert entry["diameter"] == cluster.diameter
+            assert "bounding_box" not in entry and "centroid" not in entry
+
+        answer = QueryEngine(loaded, cache_size=0).query(RuleQuery(targets=["job"]))
+        expected = [
+            index
+            for index, rule in enumerate(mixed_result.rules)
+            if all(cluster.partition.name == "job" for cluster in rule.consequent)
+        ]
+        assert expected
+        assert sorted(answer.ids) == expected
+        for row in answer.to_dicts():
+            assert "=> C" in row["description"] and "job=" in row["description"]
