@@ -5,7 +5,7 @@ spends nearly all of its time in small Python loops: ``closest_child`` and
 ``closest_entry`` walk children/entries one at a time, and every absorbed
 point updates the main CF, every cross CF, the bounding box and each
 ancestor aggregate with separate tiny numpy operations.  This module
-replaces that with a batch engine built on two ideas:
+replaces that with a batch engine built on three ideas:
 
 1. **Mirror caches.**  Every node visited during a batch gets a *mirror*: a
    preallocated ``(capacity, dim)`` matrix of its children's (or entries')
@@ -20,11 +20,18 @@ replaces that with a batch engine built on two ideas:
    buffered per destination leaf and applied at *flush* time with
    ``np.add.at`` / ``np.minimum.at`` bulk scatters, grouped by entry.
 
+3. **Verified bulk windows (1-D points).**  A window of points is routed
+   against the centroids it starts from, the state each point would
+   really meet is rebuilt with cumulative sums, and every decision is
+   recomputed from it; the prefix that agrees is committed in one step
+   (:meth:`BatchInserter._speculate`).
+
 **Equivalence guarantee.**  The engine makes the *same decision sequence*
-as sequential insertion: points are routed one at a time against mirror
-state that is updated after every point with exactly the arithmetic the
-sequential path uses (same linear-sum accumulation order, same division,
-same tie-breaking — ``argmin`` returns the first minimum just as the
+as sequential insertion: points are routed one at a time (or, in a
+verified window, checked one at a time) against mirror state that is
+updated after every point with exactly the arithmetic the sequential path
+uses (same linear-sum accumulation order, same division, same
+tie-breaking — ``argmin`` returns the first minimum just as the
 sequential strict-``<`` scan keeps the first).  Leaf-entry main moments are
 written back *from the mirrors* at flush, so they are identical to the
 sequential result, not merely close; only the deferred payload (cross
@@ -44,8 +51,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from heapq import heappop, heappush
 from math import inf, sqrt
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +68,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.birch.tree import ACFTree
 
 __all__ = ["ScanStats", "BatchInserter"]
+
+#: Speculative windows of the 1-D scan (:meth:`BatchInserter._speculate`)
+#: double while whole windows verify and restart from twice the verified
+#: prefix after a failure.  Their rows are capped so that each dense
+#: ``(rows + 1) x k`` block a window builds stays near 0.5 MB.
+_WINDOW_ROWS_MIN = 32
+_WINDOW_CELLS = 65_536
+#: A node visit of a window costs about as much as this many points of
+#: the per-point loop.  A window examines a node only while its still
+#: verifiable rows pay for the visit, and one that ends up paying less (a
+#: split storm) hands ``_STRETCH_PER_VISIT`` points per node it visited,
+#: times a back-off factor that doubles with each poor window in a row (up
+#: to ``_BACKOFF_MAX``), to the per-point loop before the next window.
+#: These constants only trade speed: every decision is the per-point one.
+_VERIFIED_PER_VISIT = 32
+_STRETCH_PER_VISIT = 512
+_BACKOFF_MAX = 64
 
 
 @dataclass
@@ -81,6 +106,9 @@ class ScanStats:
     """Items merged into an existing leaf entry."""
     new_entries: int = 0
     """Items that started a new leaf entry."""
+    verified: int = 0
+    """Absorbed points decided in bulk by the 1-D scan's verified windows
+    (the rest of the items took the per-point loop)."""
     splits: int = 0
     """Node splits triggered while ingesting."""
     rebuilds: int = 0
@@ -116,6 +144,7 @@ class ScanStats:
         self.entries += other.entries
         self.absorbed += other.absorbed
         self.new_entries += other.new_entries
+        self.verified += other.verified
         self.splits += other.splits
         self.rebuilds += other.rebuilds
         self.batches += other.batches
@@ -141,7 +170,8 @@ class ScanStats:
             f"{self.items} items in {self.seconds_total:.3f}s "
             f"({self.points_per_second:,.0f}/s), "
             f"absorb {100.0 * self.absorb_rate:.1f}%, "
-            f"{self.new_entries} new entries, {self.splits} splits, "
+            f"{self.new_entries} new entries, {self.verified} verified, "
+            f"{self.splits} splits, "
             f"{self.rebuilds} rebuilds "
             f"[scan {self.seconds_scan:.3f}s flush {self.seconds_flush:.3f}s "
             f"split {self.seconds_split:.3f}s]"
@@ -183,6 +213,8 @@ _SCAN_METRICS = (
      "Items merged into an existing leaf entry"),
     ("new_entries", "repro_phase1_new_entries_total",
      "Items that started a new leaf entry"),
+    ("verified", "repro_phase1_verified_total",
+     "Points absorbed by verified bulk windows of the 1-D scan"),
     ("splits", "repro_phase1_splits_total",
      "Leaf/internal node splits triggered while ingesting"),
     ("rebuilds", "repro_phase1_rebuilds_total",
@@ -536,6 +568,15 @@ class BatchInserter:
         self._mirrors: Dict[Node, object] = {}
         self._buffers: Dict[LeafNode, _LeafBuffer] = {}
         self._batch: Optional[_Batch] = None
+        # Speculation state of the 1-D point scan, carried across batches.
+        self._window = _WINDOW_ROWS_MIN
+        self._window_max = max(
+            _WINDOW_ROWS_MIN,
+            _WINDOW_CELLS // (max(tree.branching, tree.leaf_capacity) + 1),
+        )
+        self._visits = 1
+        self._stretch_left = 0
+        self._backoff = 1
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -648,7 +689,257 @@ class BatchInserter:
         return flush_split_seconds
 
     def _scan_scalar(self, batch: _Batch, stats: ScanStats) -> float:
-        """Scalar scan loop for 1-dimensional trees.
+        """Scan a batch into a 1-dimensional tree.
+
+        Point batches alternate between speculative windows, decided in
+        bulk by :meth:`_speculate`, and the per-point loop of
+        :meth:`_scan_range`, which takes every point a window could not
+        verify (a new entry, a split, a routing guess that drifted) and
+        whole stretches of points while windows verify too few points per
+        node visited.  Entry batches (rebuild replays) take the per-point
+        loop throughout.
+        """
+        xs = batch.ls[:, 0].tolist()
+        qs = batch.ss[:, 0].tolist()
+        if batch.entries is not None:
+            return self._scan_range(batch, stats, xs, qs, 0, batch.size)
+        flush_split_seconds = 0.0
+        size = batch.size
+        position = 0
+        while position < size:
+            # Rows that pay for the descents a window is expected to make.
+            need = _VERIFIED_PER_VISIT * max(self.tree.height, self._visits)
+            stop = position + self._stretch_left
+            if not self._stretch_left and size - position < need:
+                stop = size
+            if stop > position:
+                stop = min(stop, size)
+                flush_split_seconds += self._scan_range(
+                    batch, stats, xs, qs, position, stop
+                )
+                self._stretch_left = max(0, self._stretch_left - (stop - position))
+                position = stop
+                continue
+            rows = min(max(self._window, need), self._window_max, size - position)
+            verified, visits, failed, starved = self._speculate(
+                batch, position, rows, stats
+            )
+            position += verified
+            if failed:
+                # The first unverified point takes the per-point step,
+                # which may create an entry or split a node.
+                flush_split_seconds += self._scan_range(
+                    batch, stats, xs, qs, position, position + 1
+                )
+                position += 1
+                self._window = max(_WINDOW_ROWS_MIN, 2 * verified)
+            else:
+                self._window = min(2 * rows, self._window_max)
+            poor = verified < _VERIFIED_PER_VISIT * visits
+            if starved:
+                # Too short for the nodes its points need: count the one it
+                # could not pay for, so the next window is longer (or a
+                # batch's last rows take the per-point loop).
+                self._visits = visits + 1
+                poor = poor and rows == self._window_max
+            else:
+                self._visits = visits
+            if poor:
+                # Back off for longer each time in a row.
+                self._stretch_left = _STRETCH_PER_VISIT * visits * self._backoff
+                self._backoff = min(2 * self._backoff, _BACKOFF_MAX)
+            elif not starved:
+                self._backoff = 1
+        return flush_split_seconds
+
+    def _speculate(
+        self, batch: _Batch, start: int, rows: int, stats: ScanStats
+    ) -> Tuple[int, int, bool, bool]:
+        """Decide a window of points in bulk.
+
+        Every point of ``batch[start:start + rows]`` is first routed
+        against the centroids the window starts from (the *guess*).  Then,
+        for each visited node, the state every point would really see is
+        rebuilt from the guesses by one cumulative sum down a *trajectory*
+        matrix: row 0 holds the node's slots' ``(LS | SS | n)``, row
+        ``r + 1`` holds point ``r``'s value, square and 1 in its guessed
+        slot and ``-0.0`` (the IEEE additive identity) everywhere else, so
+        every running sum adds exactly what the per-point loop adds, in
+        exactly its order.  Each point's argmin (first minimum, empty slots
+        skipped) and merged diameter are recomputed from that state with
+        the per-point loop's arithmetic.  The prefix before the first point
+        whose guess, at any level, or threshold test disagrees is
+        committed by :meth:`_commit`.
+
+        Nodes are examined in the order the window's points first need
+        them.  When the rows still verifiable could not pay for the next
+        node (``_VERIFIED_PER_VISIT``), the window is cut before the first
+        point that needs it instead.
+
+        Returns ``(verified, visits, failed, starved)``: the length of the
+        committed prefix, the number of nodes examined, whether the prefix
+        ends at a point that failed verification, and whether it ends at a
+        cut made before any point failed (the window was too short for the
+        nodes its points need, rather than the points too hard).
+        """
+        threshold = self.tree.threshold
+        mirrors = self._mirrors
+        x = batch.ls[start : start + rows, 0]
+        q = batch.ss[start : start + rows, 0]
+        limit = rows  # the first point known to fail
+        failed = starved = False
+        plans: List[tuple] = []
+        # Nodes still to examine, the one the earliest point needs first.
+        pending = [(0, self.tree._root, np.arange(rows), x)]
+        while pending:
+            first, node, idx, xv = heappop(pending)
+            if first >= limit:
+                continue
+            if _VERIFIED_PER_VISIT * (len(plans) + 1) > limit:
+                # The rows left cannot pay for this node: keep the prefix
+                # whose nodes were all examined.
+                starved = limit == rows
+                failed = False
+                limit = first
+                break
+            if idx[-1] >= limit:
+                cut = int(np.searchsorted(idx, limit))
+                idx, xv = idx[:cut], xv[:cut]
+            is_leaf = node.is_leaf
+            mirror = mirrors.get(node)
+            created = mirror is None
+            if created:
+                mirror = (
+                    _LeafMirror1D(node)  # type: ignore[arg-type]
+                    if is_leaf
+                    else _InternalMirror1D(node)  # type: ignore[arg-type]
+                )
+            k = mirror.count
+            if not k:  # an empty leaf: its first point starts an entry
+                limit = first
+                failed = True
+                continue
+            m = idx.shape[0]
+            scores = np.array(mirror.cent) - xv[:, None]
+            scores *= scores
+            empty = None
+            if mirror.n_empty:
+                empty = np.array(mirror.n) == 0
+                scores[:, empty] = inf
+            guess = scores.argmin(axis=1)
+
+            # Trajectory columns: [LS | n] for internal nodes, [LS | SS | n]
+            # for leaves.  Counts stay exact as float64 (below 2**53).
+            n_col = 2 * k if is_leaf else k
+            width = n_col + k
+            trajectory = np.full((m + 1, width), -0.0)
+            trajectory[0, :k] = mirror.ls
+            trajectory[0, n_col:] = mirror.n
+            placed = guess + np.arange(width, (m + 1) * width, width)
+            flat = trajectory.reshape(-1)
+            flat[placed] = xv
+            flat[placed + n_col] = 1.0
+            if is_leaf:
+                qv = q[idx]
+                trajectory[0, k:n_col] = mirror.ss
+                flat[placed + k] = qv
+            trajectory = trajectory.cumsum(axis=0)
+
+            seen_ls = trajectory[:m, :k]
+            seen_n = trajectory[:m, n_col:]
+            if empty is None:
+                cent = seen_ls / seen_n
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cent = seen_ls / seen_n
+            cent -= xv[:, None]
+            cent *= cent
+            if empty is not None:
+                cent[:, empty] = inf
+            ok = cent.argmin(axis=1) == guess
+            ok &= np.isfinite(cent.reshape(-1)[guess + np.arange(0, m * k, k)])
+
+            if is_leaf:
+                seen = trajectory.reshape(-1)
+                chosen = placed - width
+                merged_n = seen[chosen + n_col] + 1.0
+                merged_ls = seen[chosen] + xv
+                merged_ss = seen[chosen + k] + qv
+                squared = (2.0 * merged_n * merged_ss - 2.0 * merged_ls * merged_ls) / (
+                    merged_n * (merged_n - 1.0)
+                )
+                ok &= np.sqrt(np.maximum(squared, 0.0)) <= threshold
+
+            if not ok.all():
+                limit = min(limit, int(idx[np.argmin(ok)]))
+                failed = True
+            plans.append((node, mirror, created, idx, guess, trajectory))
+            if not is_leaf:
+                cut = int(np.searchsorted(idx, limit))
+                head = guess[:cut]
+                for child_index in np.flatnonzero(np.bincount(head, minlength=k)).tolist():
+                    chosen = idx[:cut][head == child_index]
+                    # Pending nodes never share a point, so ``first`` alone
+                    # orders them and the nodes themselves are never compared.
+                    heappush(pending, (
+                        int(chosen[0]),
+                        node.children[child_index],  # type: ignore[attr-defined]
+                        chosen,
+                        xv[:cut][head == child_index],
+                    ))
+
+        self._commit(start, limit, plans)
+        stats.absorbed += limit
+        stats.verified += limit
+        return limit, len(plans), failed, starved
+
+    def _commit(self, start: int, accepted: int, plans: List[tuple]) -> None:
+        """Leave mirrors and leaf buffers as the per-point loop would have
+        after the first ``accepted`` points of a window.
+
+        Each node's slots take the trajectory row past its last accepted
+        point; a mirror built for the window is kept only if an accepted
+        point visited its node (the per-point loop builds mirrors on first
+        visit).  ``plans`` are in the order the window's points first
+        needed their nodes, so leaf buffers not yet present are created in
+        the order the per-point loop first visits their leaves — the order
+        :meth:`flush` sums node aggregates in.
+        """
+        if not accepted:
+            return
+        mirrors = self._mirrors
+        for node, mirror, created, idx, guess, trajectory in plans:
+            taken = int(np.searchsorted(idx, accepted))
+            if not taken:
+                continue
+            if created:
+                mirrors[node] = mirror
+            k = mirror.count
+            row = trajectory[taken]
+            ls = row[:k]
+            n = row[-k:]
+            mirror.ls = ls.tolist()
+            mirror.n = n.astype(np.int64).tolist()
+            if mirror.n_empty:
+                mirror.cent = np.divide(ls, n, out=np.zeros(k), where=n > 0).tolist()
+            else:
+                mirror.cent = (ls / n).tolist()
+            if node.is_leaf:
+                mirror.ss = row[k : 2 * k].tolist()
+                buffer = self._buffer(node)  # type: ignore[arg-type]
+                buffer.absorbed_entry.extend(guess[:taken].tolist())
+                buffer.absorbed_item.extend((idx[:taken] + start).tolist())
+
+    def _scan_range(
+        self,
+        batch: _Batch,
+        stats: ScanStats,
+        xs: List[float],
+        qs: List[float],
+        start: int,
+        stop: int,
+    ) -> float:
+        """The per-point scan loop of a 1-dimensional tree over ``[start, stop)``.
 
         Decision-for-decision the same as :meth:`_scan_generic`: for
         ``dimension == 1`` every numpy elementwise operation is a single
@@ -663,13 +954,11 @@ class BatchInserter:
         point_mode = batch.entries is None
         mirrors = self._mirrors
         buffers = self._buffers
-        xs = batch.ls[:, 0].tolist()
-        qs = batch.ss[:, 0].tolist()
         ns = None if point_mode else batch.n.tolist()
         absorbed_count = 0
         new_count = 0
 
-        for i in range(batch.size):
+        for i in range(start, stop):
             dls = xs[i]
             dss = qs[i]
             if point_mode:

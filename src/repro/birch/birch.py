@@ -54,9 +54,6 @@ class BirchOptions:
     threshold_growth: float = 2.0
     max_rebuilds_per_overflow: int = 32
     global_refinement: bool = False
-    batch_insert: bool = True
-    """Scan through :meth:`ACFTree.insert_points` (same clusters, faster);
-    set ``False`` to force the historical per-point loop."""
     scan_chunk_rows: Optional[int] = None
     """Batch cadence (rows per ``insert_points`` call) for unbudgeted scans.
 
@@ -91,7 +88,7 @@ class Phase1Stats:
     final_entry_count: int = 0
     final_tree_bytes: int = 0
     scan: Optional[ScanStats] = None
-    """Batch-scan instrumentation (``None`` when ``batch_insert`` is off)."""
+    """Batch-scan instrumentation; every Phase I scan fills it."""
 
 
 @dataclass
@@ -370,8 +367,7 @@ class BirchClusterer:
         )
         stats.threshold_history.append(tree.threshold)
         store = OutlierStore(self.memory_model)
-        if self.options.batch_insert:
-            stats.scan = ScanStats()
+        stats.scan = ScanStats()
 
         for block, cross_blocks in batches:
             if validate:
@@ -384,24 +380,13 @@ class BirchClusterer:
                         raise ValueError(
                             f"cross matrix {name!r} contains non-finite values"
                         )
-            if self.options.batch_insert:
-                tree.insert_points(block, cross_blocks, stats=stats.scan)
-                stats.points_inserted += block.shape[0]
-                if (
-                    self.options.memory_limit_bytes is not None
-                    and stats.points_inserted % _MEMORY_CHECK_INTERVAL == 0
-                ):
-                    tree = self._enforce_budget(tree, store, stats)
-            else:
-                for i in range(block.shape[0]):
-                    cross_values = {name: cross_blocks[name][i] for name in cross_blocks}
-                    tree.insert_point(block[i], cross_values)
-                    stats.points_inserted += 1
-                    if (
-                        self.options.memory_limit_bytes is not None
-                        and stats.points_inserted % _MEMORY_CHECK_INTERVAL == 0
-                    ):
-                        tree = self._enforce_budget(tree, store, stats)
+            tree.insert_points(block, cross_blocks, stats=stats.scan)
+            stats.points_inserted += block.shape[0]
+            if (
+                self.options.memory_limit_bytes is not None
+                and stats.points_inserted % _MEMORY_CHECK_INTERVAL == 0
+            ):
+                tree = self._enforce_budget(tree, store, stats)
 
         if self.options.memory_limit_bytes is not None:
             tree = self._enforce_budget(tree, store, stats)

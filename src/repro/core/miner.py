@@ -199,8 +199,8 @@ class DARResult:
     def scan_summary(self) -> Optional[ScanStats]:
         """All partitions' Phase I scan instrumentation merged into one.
 
-        ``None`` when no partition ran the batch scan path (e.g.
-        ``BirchOptions.batch_insert`` disabled).
+        ``None`` when no partition carries scan instrumentation (a result
+        without Phase I partitions).
         """
         merged: Optional[ScanStats] = None
         for stats in self.phase1.values():

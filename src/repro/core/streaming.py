@@ -385,7 +385,16 @@ class StreamingDARMiner:
 
     @classmethod
     def _from_state(cls, state: Mapping[str, object]) -> "StreamingDARMiner":
-        config = DARConfig.from_mapping(state["config"])
+        config_state = dict(state["config"])  # type: ignore[arg-type]
+        if isinstance(config_state.get("birch"), Mapping):
+            # Checkpoints from before the per-point scan option was retired
+            # still record it; both of its settings made the same clusters.
+            config_state["birch"] = {
+                key: value
+                for key, value in config_state["birch"].items()
+                if key != "batch_insert"
+            }
+        config = DARConfig.from_mapping(config_state)
         partitions = [
             AttributePartition(
                 name=p["name"],

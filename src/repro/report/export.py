@@ -83,6 +83,7 @@ def phase1_stats_to_dict(stats: Phase1Stats) -> Dict:
             "entries": stats.scan.entries,
             "absorbed": stats.scan.absorbed,
             "new_entries": stats.scan.new_entries,
+            "verified": stats.scan.verified,
             "splits": stats.scan.splits,
             "rebuilds": stats.scan.rebuilds,
             "batches": stats.scan.batches,

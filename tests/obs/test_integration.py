@@ -94,6 +94,9 @@ class TestMetricsMatchStats:
                 "repro_phase1_splits_total", partition=name
             ) == scan.splits
             assert registry.value(
+                "repro_phase1_verified_total", partition=name
+            ) == scan.verified
+            assert registry.value(
                 "repro_phase1_rebuilds_total", partition=name
             ) == scan.rebuilds
             assert registry.value(

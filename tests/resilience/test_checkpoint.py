@@ -221,6 +221,29 @@ def test_resume_bit_identical_at_any_interruption(tmp_path, n_batches, data):
     assert rule_signature(resumed.rules()) == rule_signature(full.rules())
 
 
+def test_resume_checkpoint_from_before_option_retirement(tmp_path):
+    """A checkpoint written while ``BirchOptions`` still had
+    ``batch_insert`` (and ``ScanStats`` had no ``verified``) resumes to the
+    uninterrupted run's trees and rules."""
+    batches = make_batches(4)
+    path = tmp_path / "old.ckpt"
+    full = StreamingDARMiner(PARTITIONS, DARConfig())
+    for index, batch in enumerate(batches):
+        full.update_arrays(batch)
+        if index == 1:
+            state = full.state_dict()
+    state["config"]["birch"]["batch_insert"] = True
+    for stats in state["scan_stats"].values():
+        del stats["verified"]
+    write_checkpoint(state, path)
+
+    resumed = StreamingDARMiner.from_checkpoint(path)
+    for batch in batches[2:]:
+        resumed.update_arrays(batch)
+    assert leaf_moments(resumed) == leaf_moments(full)
+    assert rule_signature(resumed.rules()) == rule_signature(full.rules())
+
+
 def test_resume_preserves_scan_stats_and_counters(tmp_path):
     batches = make_batches(3)
     path = tmp_path / "stream.ckpt"
