@@ -19,7 +19,8 @@ from repro.core.interest import (
     nominal_cluster_degree,
     nominal_cluster_diameter,
 )
-from repro.core.miner import DARMiner, DARResult, Phase2Stats
+from repro.core.miner import DARMiner, DARResult
+from repro.core.phase2 import Phase2Stats, run_phase2
 from repro.core.phase2_kernel import ImageMoments, Phase2Kernel
 from repro.core.postprocess import (
     filter_by_antecedent,
@@ -58,6 +59,7 @@ __all__ = [
     "DARMiner",
     "DARResult",
     "Phase2Stats",
+    "run_phase2",
     "DistanceRule",
     "validate_rule_partitions",
     "filter_by_antecedent",

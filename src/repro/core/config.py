@@ -17,52 +17,18 @@ more lenient (higher) threshold in Phase II produces a better set of
 rules" (Section 6.2).
 
 The cluster-distance metric is named ``metric`` everywhere (config field,
-``image_distance``, ``build_clustering_graph``); the former
-``cluster_metric`` spelling survives as a deprecation shim — both the
-constructor keyword and the attribute warn once per process and forward
-to ``metric``.
+``image_distance``, ``build_clustering_graph``).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional
 
 from repro.birch.birch import BirchOptions
 
 __all__ = ["DARConfig"]
-
-
-_WARNED_DEPRECATIONS: set = set()
-
-#: Environment flag turning every deprecation shim into a hard error.
-#: CI's deprecation job sets it so deprecated spellings cannot creep back
-#: into the codebase; local runs keep the friendly warn-once behavior.
-STRICT_DEPRECATIONS_ENV = "REPRO_STRICT_DEPRECATIONS"
-
-
-def _strict_deprecations() -> bool:
-    """Whether deprecated spellings should raise instead of warn."""
-    value = os.environ.get(STRICT_DEPRECATIONS_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
-
-
-def _warn_deprecated(key: str, message: str, stacklevel: int = 3) -> None:
-    """Emit ``message`` as a DeprecationWarning, once per process per key.
-
-    Under ``REPRO_STRICT_DEPRECATIONS`` the warning is raised as an
-    exception instead (every time, not once) — the strict mode the CI
-    deprecation job runs in.
-    """
-    if _strict_deprecations():
-        raise DeprecationWarning(message)
-    if key in _WARNED_DEPRECATIONS:
-        return
-    _WARNED_DEPRECATIONS.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -121,25 +87,13 @@ class DARConfig:
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "DARConfig":
         """Build a config from a plain mapping (parsed JSON/TOML/YAML).
 
-        Accepts exactly the constructor's keywords (including the
-        deprecated ``cluster_metric`` alias); ``birch`` may itself be a
+        Accepts exactly the constructor's keywords; ``birch`` may itself be a
         mapping of :class:`~repro.birch.birch.BirchOptions` fields.
         Unknown keys raise a ``ValueError`` naming the offending key and
         the accepted ones, so a typo in a config file fails loudly instead
         of being silently dropped.
         """
         data = dict(mapping)
-        if "cluster_metric" in data:
-            if "metric" in data:
-                raise ValueError(
-                    "pass either 'metric' or the deprecated 'cluster_metric', "
-                    "not both"
-                )
-            _warn_deprecated(
-                "DARConfig.from_mapping:cluster_metric",
-                "the 'cluster_metric' key is deprecated; use 'metric'",
-            )
-            data["metric"] = data.pop("cluster_metric")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -222,40 +176,3 @@ class DARConfig:
     def with_birch(self, birch: BirchOptions) -> "DARConfig":
         """A copy with different Phase I options (convenience for sweeps)."""
         return replace(self, birch=birch)
-
-    # ------------------------------------------------------------------
-    # Deprecated aliases
-    # ------------------------------------------------------------------
-
-    @property
-    def cluster_metric(self) -> str:
-        """Deprecated alias of :attr:`metric` (warns once per process)."""
-        _warn_deprecated(
-            "DARConfig.cluster_metric",
-            "DARConfig.cluster_metric is deprecated; use DARConfig.metric",
-        )
-        return self.metric
-
-
-# ``cluster_metric=`` constructor shim: wrap the dataclass-generated
-# __init__ so the old keyword keeps working (warning once) without
-# disturbing the dataclass machinery (fields, replace, repr).
-_DATACLASS_INIT = DARConfig.__init__
-
-
-def _init_with_aliases(self, *args, **kwargs):  # noqa: ANN001
-    if "cluster_metric" in kwargs:
-        if "metric" in kwargs:
-            raise TypeError(
-                "pass either metric= or the deprecated cluster_metric=, not both"
-            )
-        _warn_deprecated(
-            "DARConfig(cluster_metric=)",
-            "DARConfig(cluster_metric=...) is deprecated; use metric=...",
-        )
-        kwargs["metric"] = kwargs.pop("cluster_metric")
-    _DATACLASS_INIT(self, *args, **kwargs)
-
-
-_init_with_aliases.__wrapped__ = _DATACLASS_INIT
-DARConfig.__init__ = _init_with_aliases

@@ -1,9 +1,10 @@
 """The two-phase distance-based association rule miner (Section 6).
 
 Phase I clusters every attribute partition with the adaptive ACF-tree
-(:mod:`repro.birch`); Phase II works entirely on the resulting summaries:
-it builds the clustering graph (Dfn 6.1), enumerates maximal cliques,
-computes ``assoc`` sets per consequent cluster and emits every
+(:mod:`repro.birch`); Phase II (:func:`repro.core.phase2.run_phase2`, shared
+with the streaming and mixed miners) works entirely on the resulting
+summaries: it builds the clustering graph (Dfn 6.1), enumerates maximal
+cliques, computes ``assoc`` sets per consequent cluster and emits every
 Dfn 5.3-valid rule within the configured arity bounds.  Optionally a single
 post-scan counts the classical support of each candidate rule (the
 "Reducing the cost of Phase II" / post-processing remark of Section 6.2).
@@ -13,147 +14,27 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.birch.batch import ScanStats
 from repro.birch.birch import BirchClusterer, Phase1Stats, assign_to_centroids
 from repro.birch.features import CF
-from repro.core.cliques import maximal_cliques, non_trivial_cliques
-from repro.core.cluster import Cluster, image_distance
+from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
-from repro.core.graph import ClusteringGraph, build_clustering_graph
+from repro.core.graph import ClusteringGraph
+from repro.core.phase2 import Phase2Stats, count_support, run_phase2
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.core.rules import DistanceRule, RuleList
 from repro.data.columnar.chunks import ChunkIterator
 from repro.data.columnar.store import ColumnStore
 from repro.data.relation import AttributePartition, Relation, default_partitions
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.resilience import faults
 from repro.resilience.errors import ValidationError
-from repro.resilience.events import GuardEvent, record_guard_event
 
 __all__ = ["DARMiner", "DARResult", "Phase2Stats"]
-
-
-@dataclass
-class Phase2Stats:
-    """Diagnostics of the in-memory rule-formation phase.
-
-    ``engine`` is the resolved distance engine (``"vector"`` for the
-    blocked numpy kernel, ``"scalar"`` for per-pair Python calls, empty
-    when Phase II never ran) — resolved *after* any degradation, so it
-    always names the engine that actually produced the graph.  ``events``
-    records graceful degradations in order (e.g. a vector-kernel failure
-    that fell back to the scalar engine, or a guarded retry after memory
-    exhaustion); an empty list means the run was clean.  The
-    ``*_seconds`` fields break ``seconds`` down by stage: image-moment
-    extraction, clustering-graph build, maximal-clique enumeration and
-    rule emission (assoc sets, antecedent search, degree computation).
-    """
-
-    seconds: float = 0.0
-    n_clusters: int = 0
-    n_frequent_clusters: int = 0
-    n_cliques: int = 0
-    n_non_trivial_cliques: int = 0
-    n_edges: int = 0
-    comparisons: int = 0
-    comparisons_skipped: int = 0
-    n_rules: int = 0
-    engine: str = ""
-    extract_seconds: float = 0.0
-    graph_seconds: float = 0.0
-    clique_seconds: float = 0.0
-    rules_seconds: float = 0.0
-    events: List[GuardEvent] = field(default_factory=list)
-
-    def stage_breakdown(self) -> Dict[str, float]:
-        """Stage-name → seconds, in pipeline order (for reports/CLI)."""
-        return {
-            "extract": self.extract_seconds,
-            "graph": self.graph_seconds,
-            "cliques": self.clique_seconds,
-            "rules": self.rules_seconds,
-        }
-
-    def publish(self) -> None:
-        """Emit this run's Phase II numbers into the metrics registry.
-
-        The stats object remains the per-run record (``--stats``, JSON
-        export); this bridge mirrors the same values as ``repro_phase2_*``
-        metrics so the registry — what ``--metrics`` and the Prometheus
-        dump read — always agrees with the stats views.  Point-in-time
-        quantities (cluster/clique/edge/rule counts) land in gauges
-        reflecting the latest run; cumulative work (runs, comparisons,
-        degradation events, seconds) lands in counters/histograms.
-        No-op while metrics are disabled.
-        """
-        if not obs_metrics.metrics_enabled():
-            return
-        obs_metrics.inc(
-            "repro_phase2_runs_total", help="Phase II (rule formation) executions"
-        )
-        obs_metrics.set_gauge(
-            "repro_phase2_clusters", self.n_clusters,
-            help="Clusters found by Phase I in the latest run",
-        )
-        obs_metrics.set_gauge(
-            "repro_phase2_frequent_clusters", self.n_frequent_clusters,
-            help="Clusters meeting the frequency threshold in the latest run",
-        )
-        obs_metrics.set_gauge(
-            "repro_phase2_cliques", self.n_cliques,
-            help="Maximal cliques of the clustering graph in the latest run",
-        )
-        obs_metrics.set_gauge(
-            "repro_phase2_edges", self.n_edges,
-            help="Clustering-graph edges in the latest run",
-        )
-        obs_metrics.set_gauge(
-            "repro_phase2_rules", self.n_rules,
-            help="Rules emitted by the latest run",
-        )
-        obs_metrics.inc(
-            "repro_phase2_comparisons_total", self.comparisons,
-            help="Cluster-pair distance comparisons performed",
-        )
-        obs_metrics.inc(
-            "repro_phase2_comparisons_skipped_total", self.comparisons_skipped,
-            help="Cluster-pair comparisons pruned by the density pre-filter",
-        )
-        obs_metrics.observe(
-            "repro_phase2_seconds", self.seconds,
-            help="Phase II wall time per run", unit="seconds",
-        )
-        for stage, seconds in self.stage_breakdown().items():
-            obs_metrics.inc(
-                "repro_phase2_stage_seconds_total", seconds,
-                help="Phase II wall seconds by pipeline stage",
-                unit="seconds", stage=stage,
-            )
-        for event in self.events:
-            if getattr(event, "kind", None) is not None:
-                # Structured GuardEvents were already counted into
-                # repro_degradation_events_total by record_guard_event.
-                continue
-            line = str(event)
-            if "columnar" in line:
-                kind = "columnar_fallback"
-            elif "memory" in line:
-                kind = "memory_escalation"
-            elif "kernel" in line:
-                kind = "kernel_fallback"
-            else:
-                kind = "other"
-            obs_metrics.inc(
-                "repro_degradation_events_total",
-                help="Graceful-degradation events, by kind", kind=kind,
-            )
 
 
 @dataclass
@@ -316,132 +197,18 @@ class DARMiner:
             )
 
         # ------------------------------ Phase II -----------------------
-        phase2 = Phase2Stats()
-        started = time.perf_counter()
-        flat_frequent = [
-            cluster
-            for clusters in frequent_clusters.values()
-            for cluster in clusters
-        ]
-        phase2.n_clusters = sum(len(c) for c in all_clusters.values())
-        phase2.n_frequent_clusters = len(flat_frequent)
-
-        graph: Optional[ClusteringGraph] = None
-        cliques: List[FrozenSet[int]] = []
-        rules: List[DistanceRule] = []
-        with span(
-            "phase2", frequent_clusters=len(flat_frequent)
-        ) as phase2_span:
-            if len(frequent_clusters) >= 2:
-                engine = self.config.phase2_engine
-                if engine == "auto":
-                    engine = (
-                        "vector"
-                        if Phase2Kernel.supports(flat_frequent)
-                        else "scalar"
-                    )
-
-                # Image-moment extraction: every frequent cluster's
-                # (N, LS, SS) on every partition, stacked once, reused by
-                # the graph build AND the rule-formation stage below.
-                stage = time.perf_counter()
-                kernel: Optional[Phase2Kernel] = None
-                if engine == "vector":
-                    with span("phase2.extract", clusters=len(flat_frequent)):
-                        try:
-                            faults.fire("phase2.kernel")
-                            kernel = self._make_kernel(flat_frequent)
-                        except Exception as error:
-                            phase2.events.append(record_guard_event(
-                                "kernel_fallback",
-                                f"vector Phase II kernel failed during moment "
-                                f"extraction ({error}); degraded to the "
-                                f"scalar engine",
-                            ))
-                            engine = "scalar"
-                            kernel = None
-                phase2.extract_seconds = time.perf_counter() - stage
-
-                lenient = {
-                    name: self.config.phase2_leniency * threshold
-                    for name, threshold in density.items()
-                }
-                stage = time.perf_counter()
-                with span("phase2.graph") as graph_span:
-                    if kernel is not None:
-                        try:
-                            graph = kernel.build_graph(
-                                lenient,
-                                use_density_pruning=self.config.use_density_pruning,
-                                pruning_diameter_factor=self.config.pruning_diameter_factor,
-                            )
-                        except Exception as error:
-                            phase2.events.append(record_guard_event(
-                                "kernel_fallback",
-                                f"vector Phase II kernel failed during graph "
-                                f"build ({error}); degraded to the scalar "
-                                f"engine",
-                            ))
-                            engine = "scalar"
-                            kernel = None
-                            graph = None
-                    if kernel is None:
-                        graph = build_clustering_graph(
-                            flat_frequent,
-                            lenient,
-                            metric=self.config.metric,
-                            use_density_pruning=self.config.use_density_pruning,
-                            pruning_diameter_factor=self.config.pruning_diameter_factor,
-                            engine="scalar",
-                        )
-                    graph_span.set("engine", engine)
-                    graph_span.set("edges", graph.n_edges)
-                phase2.engine = engine
-                phase2.graph_seconds = time.perf_counter() - stage
-
-                stage = time.perf_counter()
-                with span("phase2.cliques") as clique_span:
-                    cliques = maximal_cliques(graph.adjacency)
-                    clique_span.set("cliques", len(cliques))
-                phase2.clique_seconds = time.perf_counter() - stage
-
-                stage = time.perf_counter()
-                with span("phase2.rules") as rules_span:
-                    rules = self._rules_from_cliques(
-                        graph, cliques, degree, targets=target_set, kernel=kernel
-                    )
-                    rules_span.set("rules", len(rules))
-                phase2.rules_seconds = time.perf_counter() - stage
-
-                phase2.n_edges = graph.n_edges
-                phase2.comparisons = graph.stats.comparisons
-                phase2.comparisons_skipped = graph.stats.skipped
-            phase2.n_cliques = len(cliques)
-            phase2.n_non_trivial_cliques = len(non_trivial_cliques(cliques))
-
-            wants_counts = (
-                self.config.count_rule_support
-                or self.config.rule_support_fraction is not None
-            )
-            if wants_counts and rules:
-                with span("phase2.postscan", candidates=len(rules)):
-                    rules = self._count_support(
-                        rules, frequent_clusters, matrices
-                    )
-                    if self.config.rule_support_fraction is not None:
-                        # Section 6.2 post-processing: "these rules are only
-                        # candidate rules ... we can rescan the data (once)
-                        # and count the frequency of all candidate rules."
-                        bar = math.ceil(self.config.rule_support_fraction * n)
-                        rules = [
-                            rule
-                            for rule in rules
-                            if (rule.support_count or 0) >= bar
-                        ]
-            phase2.n_rules = len(rules)
-            phase2_span.set("rules", len(rules))
-        phase2.seconds = time.perf_counter() - started
-        phase2.publish()
+        graph, cliques, rules, phase2 = run_phase2(
+            self.config,
+            frequent_clusters,
+            density,
+            degree,
+            n_clusters=sum(len(c) for c in all_clusters.values()),
+            targets=target_set,
+            kernel_factory=self._make_kernel,
+            postprocess=lambda rules: self._postscan(
+                rules, frequent_clusters, matrices, n
+            ),
+        )
 
         return DARResult(
             rules=rules,
@@ -602,201 +369,35 @@ class DARMiner:
             )
         return thresholds
 
-    # ------------------------------------------------------------------
-
-    def _rules_from_cliques(
-        self,
-        graph: ClusteringGraph,
-        cliques: Sequence[FrozenSet[int]],
-        degree_thresholds: Mapping[str, float],
-        targets: Optional[FrozenSet[str]] = None,
-        kernel: Optional[Phase2Kernel] = None,
-    ) -> List[DistanceRule]:
-        """Section 6.2 rule formation, deduplicated across clique pairs.
-
-        For every sub-clique chosen as a consequent, the antecedent
-        candidates are the intersection of the consequents' ``assoc`` sets;
-        any antecedent subset that is itself a clique (i.e. lies inside
-        some maximal clique Q1) and is partition-disjoint from the
-        consequent yields a rule.  Enumerating antecedent subsets that are
-        pairwise adjacent is exactly equivalent to enumerating subsets of
-        all maximal cliques Q1, without visiting the same rule once per
-        containing clique.
-
-        With ``kernel`` given, the assoc sets, candidate ranking and rule
-        degrees all read the kernel's cached pairwise-distance matrices
-        instead of re-deriving image CFs per pair.
-        """
-        metric = self.config.metric
-        clusters = graph.clusters
-        dist = self._distance_fn(kernel, metric)
-
-        # assoc(C_Y) over *all* frequent clusters: antecedent candidates
-        # whose image on Y's partition sits within D0 of C_Y (Section 6.2).
-        # With targets set, only target-partition clusters can be
-        # consequents, so only their assoc sets are ever needed.
-        if kernel is not None:
-            assoc = kernel.assoc_sets(degree_thresholds, targets=targets)
-        else:
-            assoc = {}
-            for y_uid, y_cluster in clusters.items():
-                y_name = y_cluster.partition.name
-                if targets is not None and y_name not in targets:
-                    continue
-                threshold = degree_thresholds[y_name]
-                members: Set[int] = set()
-                for x_uid, x_cluster in clusters.items():
-                    if x_cluster.partition.name == y_name:
-                        continue
-                    if dist(x_cluster, y_cluster, y_name) <= threshold:
-                        members.add(x_uid)
-                assoc[y_uid] = members
-
-        seen: Set[Tuple[frozenset, frozenset]] = set()
-        rules: List[DistanceRule] = []
-
-        for clique in cliques:
-            ordered = sorted(clique)
-            max_y = min(self.config.max_consequent, len(ordered))
-            for y_size in range(1, max_y + 1):
-                for consequent_uids in itertools.combinations(ordered, y_size):
-                    consequent = tuple(clusters[u] for u in consequent_uids)
-                    consequent_names = {c.partition.name for c in consequent}
-                    if targets is not None and not consequent_names <= targets:
-                        continue
-                    candidates = set.intersection(
-                        *(assoc[u] for u in consequent_uids)
-                    )
-                    candidates -= set(consequent_uids)
-                    candidates = {
-                        u
-                        for u in candidates
-                        if clusters[u].partition.name not in consequent_names
-                    }
-                    if not candidates:
-                        continue
-                    ranked = self._rank_candidates(
-                        candidates, consequent, clusters, dist
-                    )
-                    for antecedent_uids in self._antecedent_subsets(ranked, graph):
-                        antecedent = tuple(clusters[u] for u in antecedent_uids)
-                        antecedent_names = [
-                            c.partition.name for c in antecedent
-                        ]
-                        if len(set(antecedent_names)) != len(antecedent_names):
-                            continue
-                        key = (frozenset(antecedent_uids), frozenset(consequent_uids))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        rules.append(
-                            self._make_rule(antecedent, consequent, dist)
-                        )
-        rules.sort(key=lambda rule: (rule.degree, str(rule)))
-        return rules
-
-    @staticmethod
-    def _distance_fn(kernel: Optional[Phase2Kernel], metric: str):
-        """``dist(x_cluster, y_cluster, on) -> float`` for rule formation:
-        a cached-matrix lookup under the vector engine, a per-pair
-        ``image_distance`` call under the scalar one."""
-        if kernel is not None:
-            return lambda a, b, on: kernel.distance(a.uid, b.uid, on)
-        return lambda a, b, on: image_distance(a, b, on=on, metric=metric)
-
-    def _rank_candidates(
-        self,
-        candidates: Set[int],
-        consequent: Tuple[Cluster, ...],
-        clusters: Mapping[int, Cluster],
-        dist,
-    ) -> List[int]:
-        """Bound the antecedent search: keep the strongest-associated
-        ``max_antecedent_candidates`` clusters (smallest worst-case image
-        distance to the consequent), deterministically ordered."""
-        def strength(uid: int) -> float:
-            x_cluster = clusters[uid]
-            return max(
-                dist(x_cluster, y_cluster, y_cluster.partition.name)
-                for y_cluster in consequent
-            )
-
-        ranked = sorted(candidates, key=lambda uid: (strength(uid), uid))
-        return ranked[: self.config.max_antecedent_candidates]
-
-    def _antecedent_subsets(
-        self, candidates: Sequence[int], graph: ClusteringGraph
-    ):
-        """Non-empty pairwise-adjacent subsets of ``candidates`` (bounded size).
-
-        Size-1 subsets are always cliques; larger subsets require every
-        pair to share a graph edge, which is the Dfn 5.2/5.3 condition
-        that co-antecedent clusters occur together.
-        """
-        max_size = min(self.config.max_antecedent, len(candidates))
-        for size in range(1, max_size + 1):
-            for subset in itertools.combinations(candidates, size):
-                if size == 1 or all(
-                    graph.has_edge(a, b)
-                    for a, b in itertools.combinations(subset, 2)
-                ):
-                    yield subset
-
-    @staticmethod
-    def _make_rule(
-        antecedent: Tuple[Cluster, ...],
-        consequent: Tuple[Cluster, ...],
-        dist,
-    ) -> DistanceRule:
-        degrees: Dict[int, float] = {}
-        worst = 0.0
-        for y_cluster in consequent:
-            y_name = y_cluster.partition.name
-            y_worst = 0.0
-            for x_cluster in antecedent:
-                distance = dist(x_cluster, y_cluster, y_name)
-                y_worst = max(y_worst, distance)
-            degrees[y_cluster.uid] = y_worst
-            worst = max(worst, y_worst)
-        return DistanceRule(
-            antecedent=antecedent, consequent=consequent, degree=worst, degrees=degrees
-        )
-
-    # ------------------------------------------------------------------
-
-    def _count_support(
+    def _postscan(
         self,
         rules: List[DistanceRule],
         frequent_clusters: Mapping[str, List[Cluster]],
         matrices: Mapping[str, np.ndarray],
+        n: int,
     ) -> List[DistanceRule]:
         """One post-scan: classical support of every candidate rule.
 
         Tuples are labeled per partition by closest frequent-cluster
         centroid (§4.3.2); a tuple supports a rule when its label matches
-        the rule's cluster in every partition the rule mentions.
+        the rule's cluster in every partition the rule mentions.  With
+        ``rule_support_fraction`` set, rules below that support are
+        dropped (Section 6.2 post-processing: "these rules are only
+        candidate rules ... we can rescan the data (once) and count the
+        frequency of all candidate rules").
         """
-        masks: Dict[int, np.ndarray] = {}
-        for name, clusters in frequent_clusters.items():
-            centroids = np.stack([cluster.centroid for cluster in clusters])
-            labels = assign_to_centroids(matrices[name], centroids)
-            for index, cluster in enumerate(clusters):
-                masks[cluster.uid] = labels == index
-
-        counted: List[DistanceRule] = []
-        for rule in rules:
-            mask: Optional[np.ndarray] = None
-            for cluster in rule.antecedent + rule.consequent:
-                cluster_mask = masks[cluster.uid]
-                mask = cluster_mask if mask is None else (mask & cluster_mask)
-            support = int(np.count_nonzero(mask)) if mask is not None else 0
-            counted.append(
-                DistanceRule(
-                    antecedent=rule.antecedent,
-                    consequent=rule.consequent,
-                    degree=rule.degree,
-                    degrees=rule.degrees,
-                    support_count=support,
-                )
-            )
-        return counted
+        fraction = self.config.rule_support_fraction
+        if not rules or not (self.config.count_rule_support or fraction is not None):
+            return rules
+        with span("phase2.postscan", candidates=len(rules)):
+            masks: Dict[int, np.ndarray] = {}
+            for name, clusters in frequent_clusters.items():
+                centroids = np.stack([cluster.centroid for cluster in clusters])
+                labels = assign_to_centroids(matrices[name], centroids)
+                for index, cluster in enumerate(clusters):
+                    masks[cluster.uid] = labels == index
+            rules = count_support(rules, masks)
+            if fraction is not None:
+                bar = math.ceil(fraction * n)
+                rules = [rule for rule in rules if (rule.support_count or 0) >= bar]
+        return rules

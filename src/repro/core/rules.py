@@ -116,10 +116,6 @@ class RuleList(list):
 
         result.rules(RuleQuery(targets=("claims",), top_k=5))
         result.rules(targets="claims", top_k=5)       # keyword form
-
-    The deprecated ad-hoc keywords (``target=``, ``partition_names=``)
-    keep working through the warn-once shim in
-    :meth:`~repro.serve.query.RuleQuery.coerce`.
     """
 
     def __call__(self, query=None, **kwargs) -> "RuleList":

@@ -32,7 +32,7 @@ import math
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,19 +42,16 @@ from repro.birch.features import CF
 from repro.birch.memory import MemoryModel, ThresholdSchedule
 from repro.birch.rebuild import rebuild_tree
 from repro.birch.tree import ACFTree
-from repro.core.cliques import maximal_cliques, non_trivial_cliques
 from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
-from repro.core.graph import build_clustering_graph
-from repro.core.miner import DARMiner, DARResult, Phase2Stats
-from repro.core.phase2_kernel import Phase2Kernel
+from repro.core.miner import DARResult
+from repro.core.phase2 import run_phase2
 from repro.data.relation import AttributePartition, Relation
 from repro.obs import metrics as obs_metrics
 from repro.obs.health import HealthMonitor, HealthReport, HealthThresholds
 from repro.obs.trace import span
 from repro.resilience import faults
 from repro.resilience.errors import CheckpointCorruptError, ValidationError
-from repro.resilience.events import record_guard_event
 
 __all__ = ["StreamingDARMiner"]
 
@@ -523,82 +520,14 @@ class StreamingDARMiner:
             if frequent:
                 frequent_clusters[partition.name] = frequent
 
-        phase2 = Phase2Stats()
-        started = time.perf_counter()
-        flat = [c for group in frequent_clusters.values() for c in group]
-        phase2.n_clusters = sum(len(g) for g in all_clusters.values())
-        phase2.n_frequent_clusters = len(flat)
-
-        graph = None
-        cliques: List[FrozenSet[int]] = []
-        rules = []
-        with span("phase2", frequent_clusters=len(flat), streaming=True):
-            if len(frequent_clusters) >= 2:
-                engine = self.config.phase2_engine
-                if engine == "auto":
-                    engine = "vector" if Phase2Kernel.supports(flat) else "scalar"
-                lenient = {
-                    name: self.config.phase2_leniency * threshold
-                    for name, threshold in self._density.items()
-                }
-                kernel = None
-                stage = time.perf_counter()
-                with span("phase2.graph") as graph_span:
-                    if engine == "vector":
-                        try:
-                            faults.fire("phase2.kernel")
-                            kernel = Phase2Kernel(flat, metric=self.config.metric)
-                            graph = kernel.build_graph(
-                                lenient,
-                                use_density_pruning=self.config.use_density_pruning,
-                                pruning_diameter_factor=self.config.pruning_diameter_factor,
-                            )
-                        except Exception as error:
-                            phase2.events.append(record_guard_event(
-                                "kernel_fallback",
-                                f"vector Phase II kernel failed ({error}); "
-                                f"degraded to the scalar engine",
-                            ))
-                            engine = "scalar"
-                            kernel = None
-                            graph = None
-                    if kernel is None:
-                        graph = build_clustering_graph(
-                            flat,
-                            lenient,
-                            metric=self.config.metric,
-                            use_density_pruning=self.config.use_density_pruning,
-                            pruning_diameter_factor=self.config.pruning_diameter_factor,
-                            engine="scalar",
-                        )
-                    graph_span.set("engine", engine)
-                    graph_span.set("edges", graph.n_edges)
-                phase2.engine = engine
-                phase2.graph_seconds = time.perf_counter() - stage
-
-                stage = time.perf_counter()
-                with span("phase2.cliques") as clique_span:
-                    cliques = maximal_cliques(graph.adjacency)
-                    clique_span.set("cliques", len(cliques))
-                phase2.clique_seconds = time.perf_counter() - stage
-
-                stage = time.perf_counter()
-                with span("phase2.rules") as rules_span:
-                    helper = DARMiner(self.config)
-                    rules = helper._rules_from_cliques(
-                        graph, cliques, degree, kernel=kernel
-                    )
-                    rules_span.set("rules", len(rules))
-                phase2.rules_seconds = time.perf_counter() - stage
-
-                phase2.n_edges = graph.n_edges
-                phase2.comparisons = graph.stats.comparisons
-                phase2.comparisons_skipped = graph.stats.skipped
-            phase2.n_cliques = len(cliques)
-            phase2.n_non_trivial_cliques = len(non_trivial_cliques(cliques))
-            phase2.n_rules = len(rules)
-        phase2.seconds = time.perf_counter() - started
-        phase2.publish()
+        graph, cliques, rules, phase2 = run_phase2(
+            self.config,
+            frequent_clusters,
+            self._density,
+            degree,
+            n_clusters=sum(len(g) for g in all_clusters.values()),
+            span_attributes={"streaming": True},
+        )
 
         # A streaming run has no single Phase I pass; expose the live
         # per-partition scan instrumentation in the same slot the batch

@@ -7,8 +7,9 @@ attribute becomes a partition whose clusters are its frequent values
 the value-pure tuple sets, so "clustering" a nominal attribute is value
 grouping).  Every cluster then carries images over every partition — CFs
 over interval projections, value histograms over nominal ones — and
-Phase II proceeds verbatim: clustering graph, maximal cliques, ``assoc``
-sets, rules.
+Phase II proceeds verbatim through the miners' shared
+:func:`~repro.core.phase2.run_phase2`: clustering graph, maximal cliques,
+``assoc`` sets, rules.
 
 Degrees of association toward a nominal consequent are 0/1-metric D2
 distances, so by Theorem 5.2 they read as ``1 - confidence``: a degree
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 
@@ -33,10 +33,10 @@ import numpy as np
 
 from repro.birch.birch import BirchClusterer, assign_to_centroids
 from repro.birch.features import CF
-from repro.core.cliques import maximal_cliques, non_trivial_cliques
 from repro.core.config import DARConfig
-from repro.core.graph import ClusteringGraph, build_clustering_graph
-from repro.core.miner import DARMiner, Phase2Stats
+from repro.core.graph import ClusteringGraph
+from repro.core.miner import DARMiner
+from repro.core.phase2 import Phase2Stats, count_support, run_phase2
 from repro.core.rules import DistanceRule
 from repro.data.relation import AttributeKind, AttributePartition, Relation
 from repro.mixed.cluster import MixedCluster
@@ -255,31 +255,9 @@ class MixedDARMiner(DARMiner):
                 clusters[partition.name] = partition_clusters
 
         # ---------------- Phase II --------------------------------------
-        phase2 = Phase2Stats()
-        started = time.perf_counter()
-        flat = [cluster for group in clusters.values() for cluster in group]
-        phase2.n_clusters = len(flat)
-        phase2.n_frequent_clusters = len(flat)
+        masks = {**interval_masks, **nominal_masks}
 
-        graph: Optional[ClusteringGraph] = None
-        cliques: List[FrozenSet[int]] = []
-        rules: List[DistanceRule] = []
-        if len(clusters) >= 2:
-            lenient = {}
-            for name, threshold in density.items():
-                if any(p.name == name for p in nominal_partitions):
-                    lenient[name] = threshold  # already a [0, 1] fraction
-                else:
-                    lenient[name] = self.config.phase2_leniency * threshold
-            graph = build_clustering_graph(
-                flat,
-                lenient,
-                metric=self.config.metric,
-                use_density_pruning=self.config.use_density_pruning,
-                pruning_diameter_factor=self.config.pruning_diameter_factor,
-            )
-            cliques = maximal_cliques(graph.adjacency)
-            rules = self._rules_from_cliques(graph, cliques, degree)
+        def postprocess(rules: List[DistanceRule]) -> List[DistanceRule]:
             # A rule mixing two generalization levels of one attribute
             # (job=honda with job@1=car) is vacuous: drop it.
             rules = [
@@ -293,37 +271,21 @@ class MixedDARMiner(DARMiner):
                 )
                 == len(rule.antecedent) + len(rule.consequent)
             ]
-            phase2.n_edges = graph.n_edges
-            phase2.comparisons = graph.stats.comparisons
-            phase2.comparisons_skipped = graph.stats.skipped
-        if self.config.count_rule_support and rules:
-            masks: Dict[int, np.ndarray] = {}
-            masks.update(interval_masks)
-            masks.update(nominal_masks)
-            counted = []
-            for rule in rules:
-                joint = None
-                for cluster in rule.antecedent + rule.consequent:
-                    mask = masks.get(cluster.uid)
-                    if mask is None:
-                        joint = None
-                        break
-                    joint = mask if joint is None else (joint & mask)
-                support = int(np.count_nonzero(joint)) if joint is not None else None
-                counted.append(
-                    DistanceRule(
-                        antecedent=rule.antecedent,
-                        consequent=rule.consequent,
-                        degree=rule.degree,
-                        degrees=rule.degrees,
-                        support_count=support,
-                    )
-                )
-            rules = counted
-        phase2.n_cliques = len(cliques)
-        phase2.n_non_trivial_cliques = len(non_trivial_cliques(cliques))
-        phase2.n_rules = len(rules)
-        phase2.seconds = time.perf_counter() - started
+            if self.config.count_rule_support and rules:
+                rules = count_support(rules, masks)
+            return rules
+
+        graph, cliques, rules, phase2 = run_phase2(
+            self.config,
+            clusters,
+            density,
+            degree,
+            n_clusters=sum(len(group) for group in clusters.values()),
+            # Nominal thresholds are already [0, 1] fractions.
+            leniency={p.name: 1.0 for p in nominal_partitions},
+            postprocess=postprocess,
+            span_attributes={"mixed": True},
+        )
 
         return MixedDARResult(
             rules=rules,

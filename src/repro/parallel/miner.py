@@ -166,6 +166,7 @@ class ParallelDARMiner(DARMiner):
         log_on = obs_log.logging_enabled()
         ambient = obs_context.current()
         context_state = ambient.to_dict() if ambient is not None else None
+        isolated = backend.n_workers > 1
         with SharedMatrixStore() as store:
             store.put_all(matrices)
             descriptor = store.descriptor()
@@ -185,10 +186,11 @@ class ParallelDARMiner(DARMiner):
                         others=others,
                         options=options,
                         descriptor=descriptor,
-                        trace=trace_on and backend.n_workers > 1,
-                        metrics=metrics_on and backend.n_workers > 1,
-                        log=log_on and backend.n_workers > 1,
+                        trace=trace_on and isolated,
+                        metrics=metrics_on and isolated,
+                        log=log_on and isolated,
                         context=context_state,
+                        isolated=isolated,
                     )
                 )
             with span(

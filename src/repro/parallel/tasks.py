@@ -65,7 +65,10 @@ class Phase1Task:
     feeds ``BirchClusterer`` for this partition — the partition, the
     cross partitions, the resolved options — plus the shared-memory
     descriptor to map the row data and the observability switches the
-    worker should mirror.
+    worker should mirror.  ``isolated`` is false when the task runs
+    inside the coordinator (the one-worker serial backend): its spans and
+    metrics then land in the coordinator's own recorders, which must not
+    be reset.
     """
 
     partition: AttributePartition
@@ -76,6 +79,7 @@ class Phase1Task:
     metrics: bool = False
     log: bool = False
     context: Optional[Mapping[str, Any]] = None
+    isolated: bool = True
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,8 @@ def run_phase1_task(task: Phase1Task) -> Dict[str, Any]:
         # Simulated OOM-kill: die without cleanup so the coordinator sees
         # BrokenProcessPool, exactly like a real worker death.
         os._exit(1)
-    _reset_worker_obs(task.trace, task.metrics, task.log)
+    if task.isolated:
+        _reset_worker_obs(task.trace, task.metrics, task.log)
     ambient = (
         obs_context.activate(obs_context.RequestContext.from_dict(task.context))
         if task.context is not None

@@ -406,7 +406,7 @@ def _make_handler(server: RuleServer):
 
             try:
                 query = RuleQuery.from_query_string(query_string)
-            except (ValueError, DeprecationWarning) as error:
+            except ValueError as error:
                 self._send_json(400, {"error": str(error)}, route="/rules")
                 return
             try:

@@ -18,11 +18,6 @@ targets, antecedents, degree band, redundancy pruning, support, final
 mirrors that order over snapshot columns and memoizes answers in a
 thread-safe LRU cache, publishing ``repro_serve_*`` cache-hit and latency
 metrics through :mod:`repro.obs.metrics`.
-
-The legacy ad-hoc keywords (``target=``, ``partition_names=``) are
-accepted everywhere a :class:`RuleQuery` is, via a warn-once
-``DeprecationWarning`` shim (strict under ``REPRO_STRICT_DEPRECATIONS``,
-like the ``cluster_metric`` shim).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlencode
 
-from repro.core.config import _warn_deprecated
 from repro.core.postprocess import (
     filter_by_antecedent,
     filter_by_consequent,
@@ -45,12 +39,6 @@ from repro.core.postprocess import (
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["RuleQuery", "QueryAnswer", "QueryEngine", "apply_query"]
-
-#: Old ad-hoc keyword spellings and the RuleQuery field each one maps to.
-_LEGACY_KWARGS = {
-    "target": "targets",
-    "partition_names": "targets",
-}
 
 
 def _as_name_tuple(value: Union[str, Iterable[str]], label: str) -> Tuple[str, ...]:
@@ -128,11 +116,9 @@ class RuleQuery:
     ) -> "RuleQuery":
         """The one ``(query, **kwargs)`` normalization every surface shares.
 
-        Accepts a ready :class:`RuleQuery`, bare keyword arguments
-        (including the deprecated ``target=``/``partition_names=``
-        spellings, which warn once and map to ``targets=``), or nothing
-        (the match-everything query).  Passing both a query object and
-        keywords is ambiguous and raises.
+        Accepts a ready :class:`RuleQuery`, bare keyword arguments, or
+        nothing (the match-everything query).  Passing both a query
+        object and keywords is ambiguous and raises.
         """
         kwargs = dict(kwargs or {})
         if query is not None:
@@ -145,19 +131,6 @@ class RuleQuery:
                     f"expected a RuleQuery, got {type(query).__name__!r}"
                 )
             return query
-        for old, new in _LEGACY_KWARGS.items():
-            if old in kwargs:
-                if new in kwargs:
-                    raise ValueError(
-                        f"pass either {new!r} or the deprecated {old!r}, not both"
-                    )
-                _warn_deprecated(
-                    f"RuleQuery:{old}",
-                    f"the {old!r} keyword is deprecated; use "
-                    f"RuleQuery({new}=...)",
-                    stacklevel=4,
-                )
-                kwargs[new] = kwargs.pop(old)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(kwargs) - known)
         if unknown:
@@ -174,30 +147,21 @@ class RuleQuery:
         parameter also works); ``prune_redundant`` accepts
         ``1/true/yes/on`` (and their negations).  Unknown parameters
         raise ``ValueError`` naming the accepted ones, which the HTTP
-        layer maps to a 400 response.  The deprecated ``target=``
-        parameter is accepted through the same warn-once shim as the
-        keyword spelling.
+        layer maps to a 400 response.
         """
         merged: Dict[str, str] = {}
         for key, value in parse_qsl(query_string, keep_blank_values=True):
             merged[key] = f"{merged[key]},{value}" if key in merged else value
         kwargs: Dict[str, Any] = {}
         for key, value in merged.items():
-            field_name = _LEGACY_KWARGS.get(key, key)
-            if key in _LEGACY_KWARGS:
-                _warn_deprecated(
-                    f"RuleQuery:{key}",
-                    f"the {key!r} query parameter is deprecated; use "
-                    f"{field_name!r}",
-                )
-            if field_name in ("targets", "antecedents"):
-                kwargs[field_name] = value
-            elif field_name in ("min_degree", "max_degree"):
-                kwargs[field_name] = _parse_number(key, value, float)
-            elif field_name in ("min_support", "top_k"):
-                kwargs[field_name] = _parse_number(key, value, int)
-            elif field_name == "prune_redundant":
-                kwargs[field_name] = _parse_bool(key, value)
+            if key in ("targets", "antecedents"):
+                kwargs[key] = value
+            elif key in ("min_degree", "max_degree"):
+                kwargs[key] = _parse_number(key, value, float)
+            elif key in ("min_support", "top_k"):
+                kwargs[key] = _parse_number(key, value, int)
+            elif key == "prune_redundant":
+                kwargs[key] = _parse_bool(key, value)
             else:
                 accepted = sorted(f.name for f in fields(cls))
                 raise ValueError(

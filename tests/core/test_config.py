@@ -1,25 +1,9 @@
-"""Tests for DARConfig threshold resolution, constructors and shims."""
+"""Tests for DARConfig threshold resolution, constructors and retired spellings."""
 
 import pytest
 
 from repro.birch.birch import BirchOptions
-from repro.core import config as config_module
 from repro.core.config import DARConfig
-
-
-@pytest.fixture
-def fresh_deprecations(monkeypatch):
-    """Reset the warn-once registry so each test observes its own warning.
-
-    Also clears ``REPRO_STRICT_DEPRECATIONS`` so the warn-path assertions
-    hold even under CI's strict deprecation job.
-    """
-    monkeypatch.delenv(config_module.STRICT_DEPRECATIONS_ENV, raising=False)
-    saved = set(config_module._WARNED_DEPRECATIONS)
-    config_module._WARNED_DEPRECATIONS.clear()
-    yield
-    config_module._WARNED_DEPRECATIONS.clear()
-    config_module._WARNED_DEPRECATIONS.update(saved)
 
 
 class TestValidation:
@@ -100,13 +84,12 @@ class TestFromMapping:
         with pytest.raises(ValueError, match="frequency_fraction"):
             DARConfig.from_mapping({"frequency_fraction": 2.0})
 
-    def test_cluster_metric_alias_accepted_with_warning(self, fresh_deprecations):
-        with pytest.warns(DeprecationWarning, match="cluster_metric"):
-            config = DARConfig.from_mapping({"cluster_metric": "d1"})
-        assert config.metric == "d1"
+    def test_cluster_metric_key_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown DARConfig key.*cluster_metric"):
+            DARConfig.from_mapping({"cluster_metric": "d1"})
 
     def test_alias_conflict_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="cluster_metric"):
             DARConfig.from_mapping({"cluster_metric": "d1", "metric": "d2"})
 
 
@@ -143,70 +126,15 @@ class TestWithThresholds:
 
 
 class TestClusterMetricShim:
-    def test_constructor_alias_warns_once_and_forwards(self, fresh_deprecations):
-        with pytest.warns(DeprecationWarning, match="cluster_metric"):
-            config = DARConfig(cluster_metric="d1")
-        assert config.metric == "d1"
-        # Second use is silent: the shim warns once per process.
-        import warnings
+    """The retired ``cluster_metric`` spelling fails loudly everywhere."""
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert DARConfig(cluster_metric="d1").metric == "d1"
-
-    def test_property_alias_warns_once_and_forwards(self, fresh_deprecations):
-        config = DARConfig(metric="d1")
-        with pytest.warns(DeprecationWarning, match="cluster_metric"):
-            assert config.cluster_metric == "d1"
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.cluster_metric == "d1"
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            DARConfig(metric="d2", cluster_metric="d1")
-
-    def test_dataclass_machinery_unaffected(self, fresh_deprecations):
-        from dataclasses import replace
-
-        with pytest.warns(DeprecationWarning):
-            config = DARConfig(cluster_metric="d1")
-        assert replace(config, degree_factor=3.0).metric == "d1"
-
-
-class TestStrictDeprecations:
-    """REPRO_STRICT_DEPRECATIONS=1 turns every shim into a hard error."""
-
-    @pytest.fixture(autouse=True)
-    def strict(self, monkeypatch, fresh_deprecations):
-        monkeypatch.setenv(config_module.STRICT_DEPRECATIONS_ENV, "1")
-
-    def test_constructor_alias_raises(self):
-        with pytest.raises(DeprecationWarning, match="cluster_metric"):
+    def test_constructor_alias_raises_type_error(self):
+        with pytest.raises(TypeError, match="cluster_metric"):
             DARConfig(cluster_metric="d1")
 
-    def test_mapping_alias_raises(self):
-        with pytest.raises(DeprecationWarning, match="cluster_metric"):
-            DARConfig.from_mapping({"cluster_metric": "d1"})
+    def test_property_alias_is_gone(self):
+        assert not hasattr(DARConfig(metric="d1"), "cluster_metric")
 
-    def test_property_alias_raises(self):
-        config = DARConfig(metric="d1")
-        with pytest.raises(DeprecationWarning, match="cluster_metric"):
-            config.cluster_metric
-
-    def test_raises_every_time_not_once(self):
-        config = DARConfig(metric="d1")
-        for _ in range(2):
-            with pytest.raises(DeprecationWarning):
-                config.cluster_metric
-
-    def test_new_spelling_unaffected(self):
-        assert DARConfig(metric="d1").metric == "d1"
-
-    @pytest.mark.parametrize("value", ["", "0", "no", "off", "false"])
-    def test_disabled_values_keep_warn_path(self, monkeypatch, value):
-        monkeypatch.setenv(config_module.STRICT_DEPRECATIONS_ENV, value)
-        with pytest.warns(DeprecationWarning):
-            assert DARConfig(cluster_metric="d1").metric == "d1"
+    def test_both_spellings_rejected(self):
+        with pytest.raises(TypeError, match="cluster_metric"):
+            DARConfig(metric="d2", cluster_metric="d1")

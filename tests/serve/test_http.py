@@ -78,29 +78,11 @@ class TestRulesRoute:
         assert status == 400
         assert "top_k" in payload["error"]
 
-    def test_legacy_target_param_still_served(self, server, monkeypatch):
-        import warnings
-
-        from repro.core import config as config_module
-
-        monkeypatch.delenv(config_module.STRICT_DEPRECATIONS_ENV, raising=False)
-        # The shim warns in the handler thread; warning filters are
-        # process-global, so soften an -W error run for this request.
-        with warnings.catch_warnings():
-            warnings.simplefilter("default", DeprecationWarning)
-            status, payload = _get_json(
-                server.url, "/rules?target=claims&top_k=2"
-            )
-        assert status == 200
-        assert payload["query"]["targets"] == ["claims"]
-
-    def test_legacy_target_param_strict_is_400(self, server, monkeypatch):
-        from repro.core import config as config_module
-
-        monkeypatch.setenv(config_module.STRICT_DEPRECATIONS_ENV, "1")
+    def test_legacy_target_param_is_400(self, server):
         status, payload = _get_json(server.url, "/rules?target=claims")
         assert status == 400
-        assert "target" in payload["error"]
+        assert "'target'" in payload["error"]
+        assert "targets" in payload["error"]
 
 
 class TestOtherRoutes:

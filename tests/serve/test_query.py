@@ -1,7 +1,5 @@
 """RuleQuery semantics and the QueryEngine/apply_query identity."""
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,30 +66,14 @@ class TestRuleQuery:
         with pytest.raises(ValueError, match="min_degre"):
             RuleQuery.coerce(None, {"min_degre": 1.0})
 
-    def test_legacy_target_kwarg_warns_and_maps(self, monkeypatch):
-        from repro.core import config as config_module
-
-        monkeypatch.delenv(config_module.STRICT_DEPRECATIONS_ENV, raising=False)
-        saved = set(config_module._WARNED_DEPRECATIONS)
-        config_module._WARNED_DEPRECATIONS.clear()
-        try:
-            with pytest.warns(DeprecationWarning, match="target"):
-                query = RuleQuery.coerce(None, {"target": "claims"})
-            assert query.targets == ("claims",)
-            # Warn-once: the second use is silent.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                RuleQuery.coerce(None, {"target": "claims"})
-        finally:
-            config_module._WARNED_DEPRECATIONS.clear()
-            config_module._WARNED_DEPRECATIONS.update(saved)
-
-    def test_legacy_kwarg_strict_mode_raises(self, monkeypatch):
-        from repro.core import config as config_module
-
-        monkeypatch.setenv(config_module.STRICT_DEPRECATIONS_ENV, "1")
-        with pytest.raises(DeprecationWarning, match="target"):
-            RuleQuery.coerce(None, {"target": "claims"})
+    def test_legacy_target_kwarg_rejected(self):
+        for old in ("target", "partition_names"):
+            with pytest.raises(TypeError, match=old):
+                RuleQuery(**{old: "claims"})
+            with pytest.raises(ValueError, match=f"unknown query field.*{old}"):
+                RuleQuery.coerce(None, {old: "claims"})
+            with pytest.raises(ValueError, match=f"unknown query parameter '{old}'"):
+                RuleQuery.from_query_string(f"{old}=claims")
 
     def test_query_string_round_trip(self):
         query = RuleQuery(
