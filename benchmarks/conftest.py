@@ -6,17 +6,9 @@ the same rows/series the paper reports (through
 timing.  Tables are printed with capture disabled so they appear in the
 tee'd bench log, and are also written under ``benchmarks/results/``.
 
-Each benchmark is additionally wrapped in a
-:class:`repro.obs.bench.BenchRun` recorder (autouse ``bench_run``
-fixture), so a passing run appends one structured record — wall seconds,
-peak RSS, git SHA, environment, any emitted tables — to
-``BENCH_<scenario>.json`` at the repo root, where ``scenario`` is the
-test name minus its ``test_`` prefix.  ``python -m repro bench compare``
-reads those trajectories back.  Set ``REPRO_BENCH_TRAJECTORY=0`` to keep
-a local run from touching the trajectory files.
-
 Set ``REPRO_BENCH_SCALE`` (float, default 1) to grow or shrink the data
-sizes of the scaling experiments.
+sizes of the scaling experiments.  End-to-end timings split by layer
+come from ``ledgerbench/`` (see ``ledgerbench/README.md``).
 """
 
 from __future__ import annotations
@@ -26,61 +18,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.bench import BenchRun, append_record
-
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 
 
-def _trajectory_enabled() -> bool:
-    return os.environ.get("REPRO_BENCH_TRAJECTORY", "1") != "0"
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    """Stash the call-phase report so fixtures can see pass/fail."""
-    outcome = yield
-    report = outcome.get_result()
-    if report.when == "call":
-        item._bench_call_report = report
-
-
-@pytest.fixture(autouse=True)
-def bench_run(request):
-    """Record every benchmark into its repo-root trajectory file.
-
-    The recorder is passive — it never toggles observability (the
-    obs-overhead benchmark asserts ``obs`` is off mid-test), it just
-    times the test body and snapshots process state on exit.  Records
-    are appended only for *passing* tests; a failed benchmark's timing
-    would poison the regression baseline.
-    """
-    scenario = request.node.name
-    if scenario.startswith("test_"):
-        scenario = scenario[len("test_"):]
-    run = BenchRun(scenario, params={"scale": bench_scale()}, root=REPO_ROOT)
-    with run:
-        yield run
-    report = getattr(request.node, "_bench_call_report", None)
-    passed = report is not None and report.passed
-    if passed and _trajectory_enabled():
-        append_record(run.record, REPO_ROOT)
-
-
 @pytest.fixture
-def emit(capsys, bench_run):
-    """Print a Table live (uncaptured), persist it to results/, and
-    attach it to the structured benchmark record."""
+def emit(capsys):
+    """Print a Table live (uncaptured) and persist it to results/."""
 
     def _emit(table, filename: str) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
         text = table.render()
         (RESULTS_DIR / filename).write_text(text + "\n")
-        bench_run.add_table(table)
         with capsys.disabled():
             print()
             print(text)

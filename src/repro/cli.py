@@ -10,8 +10,6 @@ Subcommands:
 * ``serve``     — serve a rule snapshot over HTTP (``/rules``,
   ``/healthz``, ``/metrics``)
 * ``slo``       — evaluate SLO rule packs against saved or live metrics
-* ``bench``     — benchmark telemetry: record trajectories, gate
-  regressions, render the HTML dashboard
 
 Examples::
 
@@ -30,9 +28,6 @@ Examples::
     python -m repro serve --snapshot /tmp/rules.snap --log - --slo-pack default
     python -m repro mine /tmp/claims.csv --log /tmp/mine.jsonl --postmortem-dir /tmp/pm
     python -m repro slo check --metrics /tmp/metrics.prom --fail-on crit
-    python -m repro bench run --scenario phase1_scaling
-    python -m repro bench compare --strict
-    python -m repro bench report --out bench_report.html
 
 CSV files use the schema-header format of :mod:`repro.data.io` (written by
 ``generate`` and by :func:`repro.data.io.save_csv`).
@@ -319,66 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo_check.add_argument("--json", action="store_true",
                            help="print the report as JSON instead of the "
                            "per-rule verdict lines")
-
-    bench = commands.add_parser(
-        "bench",
-        help="benchmark telemetry: record BENCH_*.json trajectories, "
-        "gate regressions, render the HTML dashboard",
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_commands.add_parser(
-        "run", help="execute a built-in scenario and append its record"
-    )
-    bench_run.add_argument("--scenario", required=True,
-                           help="scenario name (see repro.obs.bench.SCENARIOS: "
-                           "phase1_scaling, phase2_graph, streaming_update, "
-                           "mine_smoke, serve_qps, serve_overload, "
-                           "outofcore_scan)")
-    bench_run.add_argument("--scale", type=float, default=1.0,
-                           help="stretch/shrink the scenario's data sizes "
-                           "(default 1.0)")
-    bench_run.add_argument("--repeat", type=int, default=1,
-                           help="record this many back-to-back runs "
-                           "(default 1)")
-    bench_run.add_argument("--trace-malloc", action="store_true",
-                           help="also sample the tracemalloc peak (slows "
-                           "allocation-heavy scenarios)")
-    bench_run.add_argument("--root", default=None,
-                           help="directory holding BENCH_*.json files "
-                           "(default: the repo root)")
-
-    bench_compare = bench_commands.add_parser(
-        "compare", help="classify the newest record against the baseline"
-    )
-    bench_compare.add_argument("--scenario", action="append", default=None,
-                               help="scenario to compare (repeatable; "
-                               "default: every BENCH_*.json found)")
-    bench_compare.add_argument("--tolerance", type=float, default=0.10,
-                               help="fractional wall-time band treated as "
-                               "noise (default 0.10)")
-    bench_compare.add_argument("--rss-tolerance", type=float, default=0.25,
-                               help="fractional peak-RSS band treated as "
-                               "noise (default 0.25)")
-    bench_compare.add_argument("--window", type=int, default=5,
-                               help="prior records feeding the median "
-                               "baseline (default 5)")
-    bench_compare.add_argument("--strict", action="store_true",
-                               help="exit 1 when any quantity regressed "
-                               "(the blocking CI gate mode)")
-    bench_compare.add_argument("--root", default=None,
-                               help="directory holding BENCH_*.json files "
-                               "(default: the repo root)")
-
-    bench_report = bench_commands.add_parser(
-        "report", help="render the trajectory dashboard as one HTML file"
-    )
-    bench_report.add_argument("--out", default="bench_report.html",
-                              help="output HTML path "
-                              "(default bench_report.html)")
-    bench_report.add_argument("--root", default=None,
-                              help="directory holding BENCH_*.json files "
-                              "(default: the repo root)")
 
     return parser
 
@@ -1064,99 +999,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return report.exit_code(fail_on=args.fail_on)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Dispatch ``bench run|compare|report`` (benchmark telemetry)."""
-    from repro.obs import bench as obs_bench
-    from repro.obs import regress as obs_regress
-
-    if args.bench_command == "run":
-        if args.repeat < 1:
-            raise ValueError("--repeat must be at least 1")
-        for _ in range(args.repeat):
-            record, path = obs_bench.run_scenario(
-                args.scenario,
-                scale=args.scale,
-                root=args.root,
-                trace_malloc=args.trace_malloc,
-            )
-            rss = (
-                f", peak rss {record.peak_rss_bytes / 2**20:.1f}MB"
-                if record.peak_rss_bytes
-                else ""
-            )
-            traced = (
-                f", tracemalloc peak {record.tracemalloc_peak_bytes / 2**20:.1f}MB"
-                if record.tracemalloc_peak_bytes
-                else ""
-            )
-            print(
-                f"# {args.scenario}: {record.wall_seconds:.3f}s{rss}{traced} "
-                f"@ {record.git_sha[:12]}{'*' if record.git_dirty else ''}"
-            )
-            print(f"# appended to {path}")
-        return 0
-
-    if args.bench_command == "compare":
-        policy = obs_regress.RegressionPolicy(
-            tolerance=args.tolerance,
-            rss_tolerance=args.rss_tolerance,
-            window=args.window,
-        )
-        # Explicitly-requested scenarios must have usable trajectories:
-        # a missing, empty, or corrupt file exits 3 with a rerun hint
-        # instead of a traceback (or a silently-green "no-baseline").
-        for name in args.scenario or ():
-            try:
-                records = obs_bench.load_trajectory(name, args.root)
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                print(
-                    f"hint: re-record it with "
-                    f"`repro bench run --scenario {name}`",
-                    file=sys.stderr,
-                )
-                return 3
-            if not records:
-                print(
-                    f"error: no benchmark records for scenario {name!r}",
-                    file=sys.stderr,
-                )
-                print(
-                    f"hint: record some with "
-                    f"`repro bench run --scenario {name}`",
-                    file=sys.stderr,
-                )
-                return 3
-        scenarios = args.scenario or obs_bench.list_scenarios(args.root)
-        if not scenarios:
-            print("# no BENCH_*.json trajectories found; run `repro bench run` first")
-            return 0
-        failed = False
-        for name in scenarios:
-            comparison = obs_regress.compare_scenario(name, args.root, policy)
-            print(comparison.describe())
-            failed = failed or comparison.has_regression
-        if failed and args.strict:
-            print("# regression detected (strict mode)", file=sys.stderr)
-            return 1
-        return 0
-
-    # report
-    from repro.report.dashboard import render_bench_report, write_report
-
-    scenarios = obs_bench.list_scenarios(args.root)
-    trajectories = {
-        name: obs_bench.load_trajectory(name, args.root) for name in scenarios
-    }
-    comparisons = {
-        name: obs_regress.compare_scenario(name, args.root) for name in scenarios
-    }
-    document = render_bench_report(trajectories, comparisons)
-    write_report(document, args.out)
-    print(f"# dashboard: {len(scenarios)} scenario(s) written to {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "mine": _cmd_mine,
     "baseline": _cmd_baseline,
@@ -1165,7 +1007,6 @@ _COMMANDS = {
     "snapshot": _cmd_snapshot,
     "serve": _cmd_serve,
     "slo": _cmd_slo,
-    "bench": _cmd_bench,
 }
 
 

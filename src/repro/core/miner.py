@@ -25,7 +25,7 @@ from repro.birch.features import CF
 from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
 from repro.core.graph import ClusteringGraph
-from repro.core.phase2 import Phase2Stats, count_support, run_phase2
+from repro.core.phase2 import Phase2Stats, postscan, run_phase2
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.core.rules import DistanceRule, RuleList
 from repro.data.columnar.chunks import ChunkIterator
@@ -205,8 +205,11 @@ class DARMiner:
             n_clusters=sum(len(c) for c in all_clusters.values()),
             targets=target_set,
             kernel_factory=self._make_kernel,
-            postprocess=lambda rules: self._postscan(
-                rules, frequent_clusters, matrices, n
+            postprocess=lambda rules: postscan(
+                self.config,
+                rules,
+                lambda: self._tuple_masks(frequent_clusters, matrices),
+                n,
             ),
         )
 
@@ -369,35 +372,21 @@ class DARMiner:
             )
         return thresholds
 
-    def _postscan(
+    def _tuple_masks(
         self,
-        rules: List[DistanceRule],
         frequent_clusters: Mapping[str, List[Cluster]],
         matrices: Mapping[str, np.ndarray],
-        n: int,
-    ) -> List[DistanceRule]:
-        """One post-scan: classical support of every candidate rule.
+    ) -> Dict[int, np.ndarray]:
+        """The tuples each frequent cluster labels, keyed by cluster uid.
 
         Tuples are labeled per partition by closest frequent-cluster
-        centroid (§4.3.2); a tuple supports a rule when its label matches
-        the rule's cluster in every partition the rule mentions.  With
-        ``rule_support_fraction`` set, rules below that support are
-        dropped (Section 6.2 post-processing: "these rules are only
-        candidate rules ... we can rescan the data (once) and count the
-        frequency of all candidate rules").
+        centroid (§4.3.2), so a tuple supports a rule when its label
+        matches the rule's cluster in every partition the rule mentions.
         """
-        fraction = self.config.rule_support_fraction
-        if not rules or not (self.config.count_rule_support or fraction is not None):
-            return rules
-        with span("phase2.postscan", candidates=len(rules)):
-            masks: Dict[int, np.ndarray] = {}
-            for name, clusters in frequent_clusters.items():
-                centroids = np.stack([cluster.centroid for cluster in clusters])
-                labels = assign_to_centroids(matrices[name], centroids)
-                for index, cluster in enumerate(clusters):
-                    masks[cluster.uid] = labels == index
-            rules = count_support(rules, masks)
-            if fraction is not None:
-                bar = math.ceil(fraction * n)
-                rules = [rule for rule in rules if (rule.support_count or 0) >= bar]
-        return rules
+        masks: Dict[int, np.ndarray] = {}
+        for name, clusters in frequent_clusters.items():
+            centroids = np.stack([cluster.centroid for cluster in clusters])
+            labels = assign_to_centroids(matrices[name], centroids)
+            for index, cluster in enumerate(clusters):
+                masks[cluster.uid] = labels == index
+        return masks

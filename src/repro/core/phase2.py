@@ -11,13 +11,14 @@ sequence is written.  Callers supply only what differs: the kernel
 factory (the parallel miner tiles the pairwise blocks over its pool), a
 per-partition leniency override (nominal thresholds are already
 fractions), and a ``postprocess`` step that runs inside the ``phase2``
-span (the batch miner's support post-scan, the mixed miner's
-taxonomy-level filter).
+span (the mixed miner's taxonomy-level filter, and in both data-holding
+miners the support :func:`postscan`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -47,7 +48,13 @@ from repro.obs.trace import span
 from repro.resilience import faults
 from repro.resilience.events import GuardEvent, record_guard_event
 
-__all__ = ["Phase2Output", "Phase2Stats", "count_support", "run_phase2"]
+__all__ = [
+    "Phase2Output",
+    "Phase2Stats",
+    "count_support",
+    "postscan",
+    "run_phase2",
+]
 
 
 @dataclass
@@ -330,6 +337,34 @@ def count_support(
             )
         )
     return counted
+
+
+def postscan(
+    config: DARConfig,
+    rules: List[DistanceRule],
+    masks: Callable[[], Mapping[int, np.ndarray]],
+    n: int,
+) -> List[DistanceRule]:
+    """The one post-scan: classical support of every candidate rule.
+
+    Runs when ``config.count_rule_support`` or
+    ``config.rule_support_fraction`` is set, and only then calls
+    ``masks`` for the per-cluster tuple masks :func:`count_support`
+    reads.  With ``rule_support_fraction`` set, rules supported by fewer
+    than ``ceil(fraction * n)`` of the ``n`` tuples are dropped (Section
+    6.2 post-processing: "these rules are only candidate rules ... we can
+    rescan the data (once) and count the frequency of all candidate
+    rules").
+    """
+    fraction = config.rule_support_fraction
+    if not rules or not (config.count_rule_support or fraction is not None):
+        return rules
+    with span("phase2.postscan", candidates=len(rules)):
+        rules = count_support(rules, masks())
+        if fraction is not None:
+            bar = math.ceil(fraction * n)
+            rules = [rule for rule in rules if (rule.support_count or 0) >= bar]
+    return rules
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.birch.features import CF
 from repro.core.config import DARConfig
 from repro.core.graph import ClusteringGraph
 from repro.core.miner import DARMiner
-from repro.core.phase2 import Phase2Stats, count_support, run_phase2
+from repro.core.phase2 import Phase2Stats, postscan, run_phase2
 from repro.core.rules import DistanceRule
 from repro.data.relation import AttributeKind, AttributePartition, Relation
 from repro.mixed.cluster import MixedCluster
@@ -271,9 +271,7 @@ class MixedDARMiner(DARMiner):
                 )
                 == len(rule.antecedent) + len(rule.consequent)
             ]
-            if self.config.count_rule_support and rules:
-                rules = count_support(rules, masks)
-            return rules
+            return postscan(self.config, rules, lambda: masks, n)
 
         graph, cliques, rules, phase2 = run_phase2(
             self.config,

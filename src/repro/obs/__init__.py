@@ -73,13 +73,6 @@ from repro.obs.slo import (
     parse_prometheus,
     registry_view,
 )
-from repro.obs.bench import (
-    BenchRecord,
-    BenchRun,
-    append_record,
-    load_trajectory,
-    run_scenario,
-)
 from repro.obs.health import (
     HealthCheck,
     HealthMonitor,
@@ -109,12 +102,6 @@ from repro.obs.profile import (
     profiling_enabled,
     reset_profiles,
 )
-from repro.obs.regress import (
-    Comparison,
-    RegressionPolicy,
-    compare_all,
-    compare_scenario,
-)
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -132,17 +119,6 @@ __all__ = [
     "disable",
     "enabled",
     "publish_build_info",
-    # benchmark telemetry
-    "BenchRecord",
-    "BenchRun",
-    "append_record",
-    "load_trajectory",
-    "run_scenario",
-    # regression gates
-    "Comparison",
-    "RegressionPolicy",
-    "compare_all",
-    "compare_scenario",
     # health
     "HealthCheck",
     "HealthMonitor",

@@ -2,7 +2,6 @@
 
 from repro.report.ascii import cluster_strip, histogram
 from repro.report.dashboard import (
-    render_bench_report,
     render_run_report,
     write_report,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "result_to_json",
     "rule_to_dict",
     "Table",
-    "render_bench_report",
     "render_run_report",
     "write_report",
 ]

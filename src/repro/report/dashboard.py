@@ -1,7 +1,7 @@
 """Self-contained single-file HTML run reports (zero dependencies).
 
 Renders everything the observability layer records — span waterfall,
-metric tables, health status, benchmark trajectories — into **one** HTML
+metric tables, health status, SLO verdicts — into **one** HTML
 string with inline CSS and inline SVG: no external stylesheets, no
 scripts, no fonts, no network fetches of any kind, so a report written on
 an air-gapped production box opens anywhere a browser does.
@@ -11,9 +11,6 @@ Two entry points:
 * :func:`render_run_report` — one mine's report (``repro mine --report
   out.html``): run metadata, health banner, span waterfall, metrics
   table, top rules.
-* :func:`render_bench_report` — the perf trajectory dashboard (``repro
-  bench report``): per-scenario wall-time sparklines, regression
-  verdicts, and the recent-record table from every ``BENCH_*.json``.
 * :func:`render_serve_page` — the rule server's landing page (``GET /``
   on ``repro serve``): published-snapshot status, health checks, and the
   live ``repro_serve_*`` metric table.
@@ -35,7 +32,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "render_run_report",
-    "render_bench_report",
     "render_serve_page",
     "write_report",
 ]
@@ -139,17 +135,6 @@ def _fmt_seconds(value: float) -> str:
     if value >= 1e-3:
         return f"{value * 1e3:.1f}ms"
     return f"{value * 1e6:.0f}µs"
-
-
-def _fmt_bytes(value: Optional[Union[int, float]]) -> str:
-    if value is None:
-        return "—"
-    size = float(value)
-    for unit in ("B", "KB", "MB", "GB"):
-        if size < 1024 or unit == "GB":
-            return f"{size:.0f}{unit}" if unit == "B" else f"{size:.1f}{unit}"
-        size /= 1024
-    return f"{size:.1f}GB"  # pragma: no cover - unreachable
 
 
 def _fmt_value(value: Any) -> str:
@@ -369,56 +354,6 @@ def _metrics_section(snapshot: Mapping[str, Any]) -> str:
     )
 
 
-def _sparkline(
-    values: Sequence[float],
-    *,
-    width: int = 280,
-    height: int = 56,
-    title: str = "",
-) -> str:
-    """A 2px series line with an end dot (surface ring) and min/max ink."""
-    pad, right = 6, 46
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    spread = (hi - lo) or (abs(hi) or 1.0) * 0.1
-    lo_y, hi_y = height - pad, pad
-
-    def point(i: int, v: float) -> str:
-        n = max(len(values) - 1, 1)
-        x = pad + (width - pad - right) * (i / n)
-        y = lo_y - (v - lo) / spread * (lo_y - hi_y)
-        return f"{x:.1f},{y:.1f}"
-
-    pts = [point(i, v) for i, v in enumerate(values)]
-    last_x, last_y = pts[-1].split(",")
-    area = (
-        f'<polygon points="{pad},{lo_y} {" ".join(pts)} {last_x},{lo_y}" '
-        'fill="var(--cat-phase1)" opacity="0.1"/>'
-    )
-    line = (
-        f'<polyline points="{" ".join(pts)}" fill="none" '
-        'stroke="var(--cat-phase1)" stroke-width="2" '
-        'stroke-linejoin="round" stroke-linecap="round"/>'
-    )
-    dot = (
-        f'<circle cx="{last_x}" cy="{last_y}" r="6" fill="var(--surface-1)"/>'
-        f'<circle cx="{last_x}" cy="{last_y}" r="4" fill="var(--cat-phase1)"/>'
-    )
-    label = (
-        f'<text class="lbl" x="{float(last_x) + 9:.1f}" y="{float(last_y) + 4:.1f}">'
-        f"{_esc(_fmt_seconds(values[-1]))}</text>"
-    )
-    hover = f"<title>{_esc(title)}</title>" if title else ""
-    return (
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" height="{height}" '
-        f'role="img" aria-label="{_esc(title or "trend")}">{hover}'
-        f'<line x1="{pad}" y1="{lo_y}" x2="{width - right}" y2="{lo_y}" '
-        'stroke="var(--baseline)" stroke-width="1"/>'
-        f"{area}{line}{dot}{label}</svg>"
-    )
-
-
 def _rules_section(result: Any, top_k: int = 10) -> str:
     rules = list(getattr(result, "rules", []) or [])
     if not rules:
@@ -505,101 +440,6 @@ def render_run_report(
     return _page(title, f"generated {generated} · self-contained, no external assets", sections)
 
 
-def _bench_scenario_section(
-    scenario: str, records: Sequence[Any], comparison: Optional[Any]
-) -> str:
-    dicts = [r.to_dict() if hasattr(r, "to_dict") else dict(r) for r in records]
-    walls = [float(r.get("wall_seconds", 0.0)) for r in dicts]
-    spark = _sparkline(
-        walls,
-        title=f"{scenario}: wall seconds over {len(walls)} runs",
-    )
-    badge = ""
-    verdict_lines = ""
-    if comparison is not None:
-        state = comparison.to_dict() if hasattr(comparison, "to_dict") else dict(comparison)
-        label = str(state.get("status", "no-baseline"))
-        status = {"regression": "crit", "improvement": "ok", "noise": "ok"}.get(
-            label, "warn"
-        )
-        color = _STATUS_COLOR[status]
-        icon = _STATUS_ICON[status]
-        badge = (
-            f'<span class="badge"><span style="color:{color}">{icon}</span> '
-            f"{_esc(label)}</span>"
-        )
-        details = []
-        for verdict in state.get("verdicts", []):
-            ratio = verdict.get("ratio")
-            suffix = f" ({(ratio - 1) * 100:+.1f}% vs baseline)" if ratio else ""
-            details.append(
-                f"{_esc(verdict.get('quantity', '?'))}: "
-                f"{_esc(verdict.get('classification', '?'))}{_esc(suffix)}"
-            )
-        if details:
-            verdict_lines = f'<p class="kv">{" · ".join(details)}</p>'
-    rows = []
-    for r in dicts[-8:]:
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(r.get('started_at', '?'))}</td>"
-            f"<td><code>{_esc(str(r.get('git_sha', '?'))[:12])}</code>"
-            f"{'*' if r.get('git_dirty') else ''}</td>"
-            f'<td class="num">{_esc(_fmt_seconds(float(r.get("wall_seconds", 0.0))))}</td>'
-            f'<td class="num">{_esc(_fmt_bytes(r.get("peak_rss_bytes")))}</td>'
-            f'<td class="kv">py {_esc(r.get("environment", {}).get("python", "?"))} '
-            f'numpy {_esc(r.get("environment", {}).get("numpy", "?"))}</td>'
-            "</tr>"
-        )
-    table = (
-        "<table><thead><tr><th>when</th><th>commit</th>"
-        '<th class="num">wall</th><th class="num">peak RSS</th>'
-        "<th>environment</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-    return (
-        f'<section class="card"><h2>{_esc(scenario)} {badge}</h2>'
-        f"{verdict_lines}{spark}{table}</section>"
-    )
-
-
-def render_bench_report(
-    trajectories: Mapping[str, Sequence[Any]],
-    comparisons: Optional[Mapping[str, Any]] = None,
-    *,
-    title: str = "repro benchmark trajectories",
-) -> str:
-    """The ``BENCH_*.json`` dashboard as a self-contained HTML string.
-
-    ``trajectories`` maps scenario name to its
-    :class:`~repro.obs.bench.BenchRecord` list (oldest first);
-    ``comparisons`` optionally maps scenario name to a
-    :class:`~repro.obs.regress.Comparison` whose status is shown as the
-    scenario's badge.
-    """
-    generated = datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M:%SZ")
-    comparisons = dict(comparisons or {})
-    sections = []
-    if not trajectories:
-        sections.append(
-            '<section class="card"><p class="kv">No BENCH_*.json trajectory '
-            "files found — run <code>repro bench run --scenario NAME</code> "
-            "first.</p></section>"
-        )
-    for scenario in sorted(trajectories):
-        sections.append(
-            _bench_scenario_section(
-                scenario, list(trajectories[scenario]), comparisons.get(scenario)
-            )
-        )
-    return _page(
-        title,
-        f"generated {generated} · {len(trajectories)} scenario(s) · "
-        "self-contained, no external assets",
-        sections,
-    )
-
-
 def render_serve_page(
     *,
     status: Mapping[str, Any],
@@ -613,7 +453,7 @@ def render_serve_page(
     (snapshot version, rule count, created-at, partitions, health report);
     ``metrics`` a registry snapshot filtered to whatever the caller wants
     shown (the server passes the full snapshot).  Renders the same
-    light/dark, zero-asset HTML as the run and bench reports, so the page
+    light/dark, zero-asset HTML as the run report, so the page
     works from an air-gapped box with nothing but a browser.
     """
     generated = datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M:%SZ")

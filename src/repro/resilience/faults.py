@@ -218,8 +218,7 @@ class FaultInjector:
         """Arm ``point`` to sleep ``seconds`` per hit instead of raising.
 
         ``times=None`` (the default) slows *every* hit once armed — the
-        shape of a genuine performance regression, which is what the
-        ``repro bench compare`` tests inject to prove the gate trips.
+        shape of a genuine performance regression.
         With a ``clock`` the sleep goes through it, so a
         :class:`~repro.resilience.runtime.FakeClock` turns the delay
         into an instant, observable time jump (the chaos suite's

@@ -1,5 +1,7 @@
 """Tests for mixed interval + qualitative DAR mining (Section 8 extension)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,30 @@ class TestMixedSupportCounting:
         ]
         assert hits
         assert max(rule.support_count or 0 for rule in hits) >= 80
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.5])
+    def test_rule_support_fraction_applies_the_bar(self, fraction):
+        """The bar counts support on its own and keeps exactly the counted
+        rules at or above ``ceil(fraction * n)``; no mode here covers half
+        of the relation, so 0.5 keeps none."""
+        relation = make_mixed_relation()
+        bar = math.ceil(fraction * len(relation))
+        counted = MixedDARMiner(
+            MixedDARConfig(base=DARConfig(count_rule_support=True))
+        ).mine_mixed(relation)
+        result = MixedDARMiner(
+            MixedDARConfig(base=DARConfig(rule_support_fraction=fraction))
+        ).mine_mixed(relation)
+        for rule in result.rules:
+            assert rule.support_count is not None
+            assert rule.support_count >= bar
+        expected = [
+            (str(rule), rule.support_count)
+            for rule in counted.rules
+            if rule.support_count >= bar
+        ]
+        assert [(str(r), r.support_count) for r in result.rules] == expected
+        assert len(result.rules) < len(counted.rules)
 
 
 class TestMixedClusterIntervalKind:

@@ -7,12 +7,9 @@ import pytest
 from repro import obs
 from repro.api import mine
 from repro.data.synthetic import make_planted_rule_relation
-from repro.obs.bench import BenchRecord
 from repro.obs.health import HealthMonitor
-from repro.obs.regress import compare_records
 from repro.obs.trace import span
 from repro.report.dashboard import (
-    render_bench_report,
     render_run_report,
     write_report,
 )
@@ -103,7 +100,7 @@ class TestRunReport:
 
     def test_renders_waterfall_metrics_health(self, run_report):
         report = audit(run_report)
-        assert "svg" in report.tags      # waterfall + sparkline markup
+        assert "svg" in report.tags      # waterfall markup
         assert "table" in report.tags    # metric table
         assert "title" in report.tags    # native SVG tooltips
         assert "Span waterfall" in run_report
@@ -128,26 +125,3 @@ class TestRunReport:
         path = write_report(run_report, tmp_path / "out.html")
         assert path.read_text() == run_report
 
-
-class TestBenchReport:
-    def build_trajectory(self, walls):
-        return [
-            BenchRecord(scenario="s", wall_seconds=w, peak_rss_bytes=10_000_000)
-            for w in walls
-        ]
-
-    def test_bench_report_sections(self):
-        records = self.build_trajectory([1.0, 1.1, 0.9, 2.5])
-        comparison = compare_records("s", records)
-        document = render_bench_report({"s": records}, {"s": comparison})
-        report = audit(document)
-        assert report.errors == []
-        assert report.external_refs == []
-        assert "svg" in report.tags       # the wall-seconds sparkline
-        assert "regression" in document   # the verdict badge text
-        assert "wall_seconds" in document
-
-    def test_bench_report_without_records(self):
-        document = render_bench_report({}, {})
-        assert audit(document).errors == []
-        assert "No BENCH_*.json trajectory" in document

@@ -32,6 +32,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_planted(self, tmp_path, capsys):
@@ -565,74 +571,6 @@ class TestRunReportAndMetricsOut:
         assert "quarantine_rate" in out
 
 
-class TestBenchCommands:
-    def test_run_appends_trajectory_with_metadata(self, tmp_path, capsys):
-        assert main([
-            "bench", "run", "--scenario", "mine_smoke",
-            "--scale", "0.25", "--root", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "mine_smoke" in out and "appended" in out
-        import json
-
-        document = json.loads((tmp_path / "BENCH_mine_smoke.json").read_text())
-        (record,) = document["records"]
-        assert record["wall_seconds"] > 0
-        assert record["git_sha"]
-        assert record["environment"]["python"]
-        assert record["params"]["scale"] == 0.25
-
-    def test_unknown_scenario_fails_loudly(self, tmp_path, capsys):
-        assert main([
-            "bench", "run", "--scenario", "nope", "--root", str(tmp_path),
-        ]) == 1
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_second_run_is_classified_and_strict_gates(self, tmp_path, capsys):
-        for _ in range(2):
-            assert main([
-                "bench", "run", "--scenario", "mine_smoke",
-                "--scale", "0.25", "--root", str(tmp_path),
-            ]) == 0
-        assert main(["bench", "compare", "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "mine_smoke (2 recorded runs)" in out
-        assert "wall_seconds" in out
-        assert "no baseline" not in out.splitlines()[1]  # wall got a verdict
-
-        # Force an unmissable regression record, then gate on it.
-        from repro.obs.bench import BenchRecord, append_record, load_trajectory
-
-        slow = BenchRecord.from_dict(
-            load_trajectory("mine_smoke", tmp_path)[-1].to_dict()
-        )
-        slow.wall_seconds *= 100
-        append_record(slow, tmp_path)
-        capsys.readouterr()
-        assert main([
-            "bench", "compare", "--root", str(tmp_path), "--strict",
-        ]) == 1
-        assert "regression" in capsys.readouterr().out
-
-    def test_compare_without_trajectories(self, tmp_path, capsys):
-        assert main(["bench", "compare", "--root", str(tmp_path)]) == 0
-        assert "no BENCH_*.json trajectories" in capsys.readouterr().out
-
-    def test_report_renders_dashboard(self, tmp_path, capsys):
-        assert main([
-            "bench", "run", "--scenario", "mine_smoke",
-            "--scale", "0.25", "--root", str(tmp_path),
-        ]) == 0
-        out = tmp_path / "bench.html"
-        assert main([
-            "bench", "report", "--root", str(tmp_path), "--out", str(out),
-        ]) == 0
-        document = out.read_text()
-        assert "mine_smoke" in document
-        assert "<svg" in document
-        assert "http://" not in document and "https://" not in document
-
-
 class TestWorkers:
     def test_parallel_rules_match_serial(self, planted_csv, capsys):
         assert main(["mine", planted_csv]) == 0
@@ -778,27 +716,6 @@ class TestServeRoundTrip:
             raise
         assert process.returncode == 0
         assert "shut down cleanly" in err
-
-
-class TestBenchCompareErrors:
-    def test_corrupt_trajectory_exits_3(self, tmp_path, capsys):
-        (tmp_path / "BENCH_mine_smoke.json").write_text("{}")
-        assert main([
-            "bench", "compare", "--root", str(tmp_path),
-            "--scenario", "mine_smoke",
-        ]) == 3
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "repro bench run --scenario mine_smoke" in err
-
-    def test_missing_trajectory_exits_3(self, tmp_path, capsys):
-        assert main([
-            "bench", "compare", "--root", str(tmp_path),
-            "--scenario", "serve_qps",
-        ]) == 3
-        err = capsys.readouterr().err
-        assert "no benchmark records for scenario 'serve_qps'" in err
-        assert "hint:" in err
 
 
 class TestLoggingAndPostmortemFlags:

@@ -1,6 +1,7 @@
-"""Tests for repository tooling (docs generator)."""
+"""Tests for repository tooling (docs generator, peak-RSS runner)."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +48,33 @@ class TestApiDocsGenerator:
     def test_signature_of_uncallable(self):
         generator = load_generator()
         assert generator.signature_of(42) == ""
+
+
+class TestPeakRss:
+    SCRIPT = REPO_ROOT / "tools" / "peak_rss.py"
+
+    def run(self, *command):
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), *command],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_reports_the_childs_peak(self):
+        touch = "b = bytearray(64 * 2**20); b[::4096] = b'x' * len(b[::4096])"
+        done = self.run(sys.executable, "-c", touch)
+        assert done.returncode == 0
+        line = done.stderr.strip().splitlines()[-1]
+        assert line.startswith("# peak_rss_mb=")
+        fields = dict(item.split("=") for item in line[2:].split())
+        assert float(fields["peak_rss_mb"]) >= 64
+        assert float(fields["wall_s"]) >= 0
+
+    def test_passes_the_exit_status_through(self):
+        assert self.run(sys.executable, "-c", "raise SystemExit(3)").returncode == 3
+
+    def test_no_command_is_a_usage_error(self):
+        done = self.run()
+        assert done.returncode == 2
+        assert "peak_rss.py" in done.stderr
