@@ -251,22 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=256,
                        help="query answers kept in the LRU cache "
                        "(default 256)")
-    serve.add_argument("--max-inflight", type=int, default=None,
-                       metavar="N",
-                       help="admit at most N concurrent requests; excess "
-                       "is shed with 503 + Retry-After (default: unbounded)")
-    serve.add_argument("--rate", type=float, default=None, metavar="R",
-                       help="token-bucket admission rate in requests/sec; "
-                       "excess is shed with 429 + Retry-After "
-                       "(default: unlimited)")
-    serve.add_argument("--burst", type=int, default=None, metavar="B",
-                       help="token-bucket burst capacity "
-                       "(default: max(1, int(rate)))")
-    serve.add_argument("--deadline-ms", type=float, default=None,
-                       metavar="MS",
-                       help="per-request deadline in milliseconds; an "
-                       "admitted request that cannot finish in time "
-                       "answers 503 (default: none)")
     serve.add_argument("--read-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="socket read timeout per request, the "
@@ -642,6 +626,12 @@ def _run_mine(args: argparse.Namespace, capture: Optional[dict] = None) -> int:
                 "--workers is not supported together with "
                 "--checkpoint/--resume (the streaming engine is serial)"
             )
+        if args.count_support:
+            raise ValueError(
+                "--count-support is not supported together with "
+                "--checkpoint/--resume (the streaming engine keeps no "
+                "tuples to rescan)"
+            )
         result, checkpoint_infos, stream_miner = _mine_streaming(
             relation, config, args
         )
@@ -890,20 +880,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro import obs
     from repro.obs.metrics import enable_metrics, get_registry
-    from repro.serve import RuleServer, ServePolicy, SnapshotPublisher
+    from repro.serve import RuleServer, SnapshotPublisher
 
     if args.cache_size < 1:
         raise ValueError("--cache-size must be at least 1")
-    policy = ServePolicy(
-        max_inflight=args.max_inflight,
-        rate=args.rate,
-        burst=args.burst,
-        deadline_seconds=(
-            args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-        ),
-        read_timeout_seconds=args.read_timeout,
-        drain_seconds=args.drain_seconds,
-    )
     get_registry().reset()
     enable_metrics()
     obs.publish_build_info()
@@ -928,7 +908,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _snapshot_source(args.snapshot), cache_size=args.cache_size
     )
     with RuleServer(
-        publisher, host=args.host, port=args.port, policy=policy,
+        publisher, host=args.host, port=args.port,
+        read_timeout_seconds=args.read_timeout,
+        drain_seconds=args.drain_seconds,
         slo_pack=slo_pack,
     ) as server:
         server.start()
@@ -938,15 +920,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(snapshot v{publisher.version}) on http://{host}:{port}",
             flush=True,
         )
-        limits = []
-        if policy.max_inflight is not None:
-            limits.append(f"max-inflight={policy.max_inflight}")
-        if policy.rate is not None:
-            limits.append(f"rate={policy.rate:g}/s burst={server.shedder.burst}")
-        if policy.deadline_seconds is not None:
-            limits.append(f"deadline={policy.deadline_seconds * 1000:g}ms")
-        if limits:
-            print("# admission: " + " ".join(limits), flush=True)
         if slo_pack is not None:
             print(f"# slo pack: {len(slo_pack)} rule(s) on /healthz", flush=True)
         print("# endpoints: /rules /healthz /metrics", flush=True)

@@ -58,6 +58,18 @@ __all__ = ["StreamingDARMiner"]
 _CHECKPOINT_KIND = "streaming-darminer"
 
 
+def _refuse_support_options(
+    count_rule_support: bool, rule_support_fraction: Optional[float]
+) -> None:
+    """Rule support needs a rescan of the tuples, which a stream never keeps."""
+    if count_rule_support or rule_support_fraction is not None:
+        raise ValueError(
+            "StreamingDARMiner keeps no tuples to rescan, so it cannot count "
+            "rule support: unset count_rule_support and rule_support_fraction "
+            "(or mine the whole relation with DARMiner)"
+        )
+
+
 class StreamingDARMiner:
     """Incrementally mines DARs from arriving tuple batches.
 
@@ -83,6 +95,9 @@ class StreamingDARMiner:
         names = [p.name for p in partition_list]
         if len(set(names)) != len(names):
             raise ValueError(f"partition names must be unique, got {names}")
+        _refuse_support_options(
+            config.count_rule_support, config.rule_support_fraction
+        )
         self.partitions = partition_list
         self.config = config
         self._explicit_density = dict(density_thresholds or {})
@@ -362,7 +377,8 @@ class StreamingDARMiner:
         results to the original: leaf moments, routing decisions and the
         eventual rule set all match an uninterrupted run fed the same
         stream.  Raises the :mod:`repro.resilience.errors` checkpoint
-        errors on damaged or incompatible files.
+        errors on damaged or incompatible files, and ``ValueError`` on a
+        checkpoint whose config asks for rule support counting.
         """
         from repro.resilience.checkpoint import read_checkpoint
 
@@ -371,6 +387,12 @@ class StreamingDARMiner:
             raise CheckpointCorruptError(
                 f"{path}: checkpoint holds a {state.get('kind')!r} state, "
                 f"not a {_CHECKPOINT_KIND!r}"
+            )
+        config_state = state.get("config")
+        if isinstance(config_state, Mapping):
+            _refuse_support_options(
+                config_state.get("count_rule_support"),
+                config_state.get("rule_support_fraction"),
             )
         try:
             miner = cls._from_state(state)

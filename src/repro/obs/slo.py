@@ -5,8 +5,7 @@ statistic (raw value, histogram quantile, or a ratio against a second
 metric), a comparison against a ``threshold``, and a ``severity``.  A
 *rule pack* is just a list of rules — loadable from JSON or TOML files,
 with :data:`DEFAULT_PACK` shipping sensible defaults for the serving
-stack (query p99, shed rate, refresh-circuit state, quarantine rate,
-checkpoint age).
+stack (query p99, quarantine rate, checkpoint age).
 
 Rules evaluate against any :class:`MetricsView`: a live
 :class:`~repro.obs.metrics.MetricsRegistry` (wrap with
@@ -21,9 +20,9 @@ subsystem never ran), ``ok``, or ``violate``.
 
 Example pack entry (JSON)::
 
-    {"name": "serve_shed_rate", "metric": "repro_resilience_shed_total",
-     "stat": "ratio", "denominator": "repro_serve_http_requests_total",
-     "op": "<=", "threshold": 0.05, "severity": "crit"}
+    {"name": "quarantine_rate", "metric": "repro_quarantined_rows_total",
+     "stat": "ratio", "denominator": "repro_rows_ok_total",
+     "op": "<=", "threshold": 0.05, "severity": "warn"}
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class SLORule:
 
     ``stat`` picks how the matching series collapse to one number:
     ``value``/``sum`` add counter/gauge series, ``max``/``min`` take the
-    extreme (right for state gauges like circuit breakers), ``count``/
+    extreme (right for level gauges like health checks), ``count``/
     ``mean``/``p50``/``p90``/``p99`` read histograms, and ``ratio``
     divides the metric's sum by ``denominator``'s sum.  The rule *holds*
     when the comparison is true; ``severity`` is the health level a
@@ -522,28 +521,6 @@ DEFAULT_PACK: Tuple[SLORule, ...] = (
         severity="crit",
         window_seconds=300.0,
         description="99th-percentile uncached query latency stays under 500ms",
-    ),
-    SLORule(
-        name="serve_shed_rate",
-        metric="repro_resilience_shed_total",
-        stat="ratio",
-        denominator="repro_serve_http_requests_total",
-        op="<=",
-        threshold=0.05,
-        severity="crit",
-        window_seconds=300.0,
-        description="At most 5% of HTTP requests are shed by admission control",
-    ),
-    SLORule(
-        name="refresh_circuit_closed",
-        metric="repro_resilience_circuit_state",
-        selector={"circuit": "publisher.refresh"},
-        stat="max",
-        op="<=",
-        threshold=0.0,
-        severity="warn",
-        window_seconds=300.0,
-        description="The snapshot-refresh circuit breaker is closed (state 0)",
     ),
     SLORule(
         name="quarantine_rate",

@@ -26,12 +26,11 @@ all convert an :class:`~repro.resilience.errors.InjectedFault` into
 :class:`WorkerPoolError` so crash tests exercise the same recovery path
 as real worker death.
 
-Retry rung: before the degradation ladder's serial fallback ever runs,
-:class:`ProcessPoolBackend` can retry a :class:`WorkerPoolError` on a
-*fresh* pool with jittered exponential backoff (``retry=RetryPolicy``),
-and can bound each task with a per-task timeout — a hung worker becomes
-a ``WorkerPoolError`` instead of a hung mine.  Both knobs surface on
-:class:`~repro.resilience.guard.GuardPolicy`.
+A failed pool raises on its first failure, and the degradation
+ladder's serial fallback is the recovery.
+:class:`ProcessPoolBackend` can bound each task with a per-task timeout,
+so a hung worker becomes a ``WorkerPoolError`` instead of a hung mine
+(``task_timeout_seconds`` on :class:`~repro.resilience.guard.GuardPolicy`).
 """
 
 from __future__ import annotations
@@ -41,10 +40,8 @@ import os
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs import metrics as obs_metrics
 from repro.resilience import faults
 from repro.resilience.errors import InjectedFault, ReproError, WorkerPoolError
-from repro.resilience.runtime import Clock, RetryPolicy, SystemClock
 
 __all__ = [
     "ExecutorBackend",
@@ -136,21 +133,11 @@ class ProcessPoolBackend(ExecutorBackend):
     exception unwinding through the ``with`` block) cannot leave orphan
     worker processes or queued tasks behind.
 
-    ``retry`` (a :class:`~repro.resilience.runtime.RetryPolicy`) makes
-    :meth:`map_tasks` rebuild the pool and resubmit the whole batch
-    after a :class:`WorkerPoolError`, backing off through ``clock``
-    between attempts; ``task_timeout`` bounds each task's wall time so
-    a wedged worker surfaces as a pool failure rather than a hang.
+    ``task_timeout`` bounds each task's wall time so a wedged worker
+    surfaces as a pool failure rather than a hang.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        retry: Optional[RetryPolicy] = None,
-        task_timeout: Optional[float] = None,
-        clock: Optional[Clock] = None,
-    ):
+    def __init__(self, workers: int, *, task_timeout: Optional[float] = None):
         if workers < 2:
             raise ValueError(
                 "ProcessPoolBackend needs at least 2 workers; use "
@@ -159,9 +146,7 @@ class ProcessPoolBackend(ExecutorBackend):
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
         self.n_workers = workers
-        self.retry = retry
         self.task_timeout = task_timeout
-        self.clock = clock or SystemClock()
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
     def __enter__(self) -> "ProcessPoolBackend":
@@ -195,61 +180,15 @@ class ProcessPoolBackend(ExecutorBackend):
 
         A dead worker (``BrokenProcessPool``), an injected ``parallel.*``
         or ``pool.submit`` fault, or a task outliving ``task_timeout``
-        raises :class:`WorkerPoolError` — after exhausting the ``retry``
-        policy's fresh-pool attempts, when one is configured.  Other
+        raises :class:`WorkerPoolError` on the first failure.  Other
         :class:`~repro.resilience.errors.ReproError` subclasses (data
-        errors raised inside the task) propagate as themselves and are
-        never retried — they would recur.
+        errors raised inside the task) propagate as themselves.
         """
         if self._executor is None:
             raise WorkerPoolError(
                 "worker pool is not running (use the backend as a context "
                 "manager)"
             )
-        retries = self.retry.retries if self.retry is not None else 0
-        for attempt in range(retries + 1):
-            try:
-                return self._map_once(fn, tasks)
-            except WorkerPoolError:
-                if attempt >= retries:
-                    raise
-                if obs_metrics.metrics_enabled():
-                    obs_metrics.inc(
-                        "repro_resilience_pool_retries_total",
-                        help="Worker-pool batch retries on a fresh pool",
-                    )
-                self.clock.sleep(self.retry.delay(attempt))
-                self._rebuild()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _rebuild(self) -> None:
-        """Replace a (possibly broken) executor with a fresh pool.
-
-        A ``BrokenProcessPool`` poisons the executor permanently, so a
-        retry without a rebuild would fail instantly; startup failures
-        surface through the same ``parallel.pool`` conversion as
-        ``__enter__``.
-        """
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        try:
-            faults.fire("parallel.pool")
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.n_workers
-            )
-        except InjectedFault as error:
-            raise WorkerPoolError(f"worker pool failed to restart: {error}") from error
-        except OSError as error:
-            raise WorkerPoolError(
-                f"could not restart {self.n_workers} worker processes: {error}"
-            ) from error
-
-    def _map_once(
-        self, fn: Callable[[Any], Any], tasks: Sequence[Any]
-    ) -> List[Any]:
-        """One submit-and-gather attempt over the current pool."""
         futures = []
         results: List[Any] = []
         try:

@@ -75,12 +75,11 @@ class ParallelDARMiner(DARMiner):
 
     ``workers=None`` (or 0) resolves automatically — ``REPRO_WORKERS``
     when set, else ``os.cpu_count()`` (see
-    :func:`~repro.parallel.executor.resolve_workers`).  ``pool_retry``
-    and ``task_timeout`` flow to the
-    :class:`~repro.parallel.executor.ProcessPoolBackend`: a pool failure
-    is retried on a fresh pool with backoff before the guard ladder's
-    serial rung ever engages, and a hung worker becomes a
-    ``WorkerPoolError`` after ``task_timeout`` seconds.
+    :func:`~repro.parallel.executor.resolve_workers`).  ``task_timeout``
+    flows to the :class:`~repro.parallel.executor.ProcessPoolBackend`: a
+    hung worker becomes a ``WorkerPoolError`` after ``task_timeout``
+    seconds, which the guard ladder's serial rung handles like any other
+    pool failure.
 
     >>> from repro.data.synthetic import make_planted_rule_relation
     >>> relation, _ = make_planted_rule_relation(seed=7)
@@ -94,12 +93,10 @@ class ParallelDARMiner(DARMiner):
         config: DARConfig = DARConfig(),
         workers: Optional[int] = None,
         *,
-        pool_retry=None,
         task_timeout: Optional[float] = None,
     ):
         super().__init__(config)
         self.workers = resolve_workers(workers)
-        self.pool_retry = pool_retry
         self.task_timeout = task_timeout
         self._backend: Optional[ExecutorBackend] = None
 
@@ -122,9 +119,7 @@ class ParallelDARMiner(DARMiner):
             backend = SerialBackend()
         else:
             backend = ProcessPoolBackend(
-                self.workers,
-                retry=self.pool_retry,
-                task_timeout=self.task_timeout,
+                self.workers, task_timeout=self.task_timeout
             )
         with backend:
             self._backend = backend

@@ -14,10 +14,6 @@ Four pieces, layered from the ground up:
 - :mod:`repro.resilience.sink` / :mod:`repro.resilience.guard` —
   quarantined ingestion with an error budget, and the graceful-degradation
   ladder wrapped around :func:`repro.mine`.
-- :mod:`repro.resilience.runtime` — deterministic overload-control
-  primitives on an injectable clock: deadlines, retry backoff, circuit
-  breakers, and token-bucket load shedding (the serving layer's
-  backpressure toolkit).
 
 Only ``errors`` and ``faults`` are imported eagerly (they have no
 dependency on ``repro.core``, which lets the core instrument fault points
@@ -32,15 +28,11 @@ from repro.resilience.errors import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointVersionError,
-    CircuitOpenError,
     CorruptResultError,
     DataError,
-    DeadlineExceeded,
     ErrorBudgetExceeded,
     IngestError,
     InjectedFault,
-    OverloadError,
-    RejectedError,
     ReproError,
     ResourceExhaustedError,
     ValidationError,
@@ -57,10 +49,6 @@ __all__ = [
     "CheckpointVersionError",
     "ResourceExhaustedError",
     "CorruptResultError",
-    "OverloadError",
-    "RejectedError",
-    "DeadlineExceeded",
-    "CircuitOpenError",
     "InjectedFault",
     "faults",
     # lazy (see __getattr__):
@@ -74,25 +62,9 @@ __all__ = [
     "GuardPolicy",
     "guarded_mine",
     "validate_result",
-    "Clock",
-    "SystemClock",
-    "FakeClock",
-    "Deadline",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "Admission",
-    "LoadShedder",
 ]
 
 _LAZY = {
-    "Clock": "repro.resilience.runtime",
-    "SystemClock": "repro.resilience.runtime",
-    "FakeClock": "repro.resilience.runtime",
-    "Deadline": "repro.resilience.runtime",
-    "RetryPolicy": "repro.resilience.runtime",
-    "CircuitBreaker": "repro.resilience.runtime",
-    "Admission": "repro.resilience.runtime",
-    "LoadShedder": "repro.resilience.runtime",
     "CheckpointInfo": "repro.resilience.checkpoint",
     "write_checkpoint": "repro.resilience.checkpoint",
     "read_checkpoint": "repro.resilience.checkpoint",

@@ -21,20 +21,10 @@ Taxonomy::
     ├── WorkerPoolError              — the parallel worker pool died or jammed
     ├── ColumnStoreError             — the out-of-core columnar backend failed
     ├── CorruptResultError           — a result failed its integrity check
-    ├── OverloadError                — work refused to protect the process
-    │   ├── RejectedError            — admission control shed the request
-    │   ├── DeadlineExceeded         — a per-request deadline expired
-    │   └── CircuitOpenError         — a circuit breaker is refusing calls
     └── InjectedFault                — raised by the fault-injection harness
-
-The three overload errors carry a ``retry_after`` hint (seconds, possibly
-``None``) so transport layers can translate them into honest backpressure
-(``Retry-After`` headers) instead of silent queueing.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 __all__ = [
     "ReproError",
@@ -49,10 +39,6 @@ __all__ = [
     "WorkerPoolError",
     "ColumnStoreError",
     "CorruptResultError",
-    "OverloadError",
-    "RejectedError",
-    "DeadlineExceeded",
-    "CircuitOpenError",
     "InjectedFault",
 ]
 
@@ -123,47 +109,6 @@ class CorruptResultError(ReproError):
     The guarded driver raises this instead of returning a partially
     corrupt :class:`~repro.core.miner.DARResult`.
     """
-
-
-class OverloadError(ReproError):
-    """Work was refused (not failed) to keep the process healthy.
-
-    ``retry_after`` is the caller's backoff hint in seconds — ``None``
-    when the refusing component cannot estimate one.  Subclasses say
-    *why* the work was refused; all of them mean "try again later, the
-    input was fine".
-    """
-
-    def __init__(self, message: str, *, retry_after: Optional[float] = None):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class RejectedError(OverloadError):
-    """Admission control shed the request before any work started.
-
-    ``reason`` distinguishes the two shedding mechanisms: ``"inflight"``
-    (the bounded in-flight gauge was full — HTTP 503) and ``"rate"``
-    (the token bucket was empty — HTTP 429).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        reason: str = "inflight",
-        retry_after: Optional[float] = None,
-    ):
-        super().__init__(message, retry_after=retry_after)
-        self.reason = reason
-
-
-class DeadlineExceeded(OverloadError):
-    """A per-request deadline expired before the work finished."""
-
-
-class CircuitOpenError(OverloadError):
-    """A circuit breaker is open: recent calls failed, new ones are refused."""
 
 
 class InjectedFault(ReproError):

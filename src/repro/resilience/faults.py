@@ -22,23 +22,20 @@ Instrumented points:
                             across ``fork``, so the fault fires inside the
                             worker process)
 ``pool.submit``             before each task submission to the process pool
-                            (exercises the pool retry-with-backoff rung)
-``serve.request``           inside the HTTP handler, after admission control
-                            grants the request (latency/failure injection
-                            while the in-flight slot is held; never fires
-                            for the exempt ``/healthz``/``/metrics`` routes)
-``publisher.refresh``       start of ``SnapshotPublisher.refresh`` (compile
-                            failure injection for the supervised loop)
+``serve.request``           inside the HTTP handler, while the request counts
+                            as in flight (latency/failure injection; never
+                            fires for the ``/healthz``/``/metrics`` routes)
+``publisher.refresh``       start of ``SnapshotPublisher.refresh`` (refresh
+                            failure injection)
 ``columnar.matrix``         entry of ``ColumnStore.matrix`` (out-of-core
                             backend failure; exercises the guard ladder's
                             materialize-and-retry rung)
 ==========================  ====================================================
 
 Beyond crashing, a plan can model *latency* two ways: ``slow_at`` sleeps
-per hit (through an injectable clock, so a :class:`FakeClock` makes the
-delay free), and ``block_at`` parks every hit on a :class:`Gate` until
-the test releases it — the deterministic way to hold N requests in
-flight concurrently without a single real sleep.
+per hit, and ``block_at`` parks every hit on a :class:`Gate` until the
+test releases it — the deterministic way to hold N requests in flight
+concurrently without a single real sleep.
 
 The module also carries the file- and row-corruption helpers the
 checkpoint and quarantine tests use: :func:`truncate_file`,
@@ -145,16 +142,13 @@ class FaultPlan:
     on every hit once armed (a hard outage rather than a transient one).
     A plan with ``delay_seconds > 0`` models a *slowdown* instead of a
     crash: each trip sleeps rather than raising — the tool the regression
-    tests use to make a scenario measurably slower on demand.  The sleep
-    goes through ``clock`` when one is supplied (a
-    :class:`~repro.resilience.runtime.FakeClock` makes the delay free and
-    observable); a plan with a :class:`Gate` parks the thread instead.
+    tests use to make a scenario measurably slower on demand.  A plan
+    with a :class:`Gate` parks the thread instead.
     """
 
     def __init__(self, after: int = 0, times: Optional[int] = 1,
                  message: str = "injected fault",
                  delay_seconds: float = 0.0,
-                 clock=None,
                  gate: Optional[Gate] = None):
         if after < 0:
             raise ValueError("after must be non-negative")
@@ -166,7 +160,6 @@ class FaultPlan:
         self.times = times
         self.message = message
         self.delay_seconds = delay_seconds
-        self.clock = clock
         self.gate = gate
         self.hits = 0
         self.trips = 0
@@ -183,10 +176,7 @@ class FaultPlan:
             self.gate.arrive()
             return
         if self.delay_seconds > 0:
-            if self.clock is not None:
-                self.clock.sleep(self.delay_seconds)
-            else:
-                time.sleep(self.delay_seconds)
+            time.sleep(self.delay_seconds)
             return
         error = InjectedFault(f"{point}: {self.message} (hit {self.hits})")
         # Let the flight recorder see the trip (and cut a postmortem
@@ -214,18 +204,14 @@ class FaultInjector:
         return self
 
     def slow_at(self, point: str, seconds: float, *, after: int = 0,
-                times: Optional[int] = None, clock=None) -> "FaultInjector":
+                times: Optional[int] = None) -> "FaultInjector":
         """Arm ``point`` to sleep ``seconds`` per hit instead of raising.
 
         ``times=None`` (the default) slows *every* hit once armed — the
         shape of a genuine performance regression.
-        With a ``clock`` the sleep goes through it, so a
-        :class:`~repro.resilience.runtime.FakeClock` turns the delay
-        into an instant, observable time jump (the chaos suite's
-        no-real-sleeps latency injection).
         """
         self._plans[point] = FaultPlan(
-            after=after, times=times, delay_seconds=seconds, clock=clock,
+            after=after, times=times, delay_seconds=seconds,
             message=f"injected delay of {seconds}s",
         )
         return self
@@ -238,8 +224,8 @@ class FaultInjector:
         The returned gate is the test's handle: ``wait_for_waiters(K)``
         to synchronize with K threads held at the point, ``release()``
         to let them (and all later arrivals) through.  This is how the
-        overload drill holds exactly K requests in flight while the
-        excess is shed — deterministically, with no sleeps.
+        drain tests hold requests in flight deterministically, with no
+        sleeps.
         """
         gate = Gate(max_wait=max_wait)
         self._plans[point] = FaultPlan(

@@ -78,11 +78,6 @@ class GuardPolicy:
     """Density-threshold multiplier applied per memory-exhaustion retry."""
     backoff_seconds: float = 0.0
     """Pause before each retry (lets an external memory spike pass)."""
-    pool_retries: int = 0
-    """Fresh-pool retries of a ``WorkerPoolError`` (with jittered
-    exponential backoff) *before* the serial-fallback rung engages."""
-    pool_backoff_seconds: float = 0.05
-    """Base pause of the pool retry backoff (doubles per attempt)."""
     task_timeout_seconds: Optional[float] = None
     """Per-task wall-time bound inside the worker pool (``None`` = no
     bound); a task outliving it surfaces as a ``WorkerPoolError``."""
@@ -94,25 +89,8 @@ class GuardPolicy:
             raise ValueError("escalation_factor must exceed 1 for progress")
         if self.backoff_seconds < 0:
             raise ValueError("backoff_seconds must be non-negative")
-        if self.pool_retries < 0:
-            raise ValueError("pool_retries must be non-negative")
-        if self.pool_backoff_seconds < 0:
-            raise ValueError("pool_backoff_seconds must be non-negative")
         if self.task_timeout_seconds is not None and self.task_timeout_seconds <= 0:
             raise ValueError("task_timeout_seconds must be positive (or None)")
-
-    def pool_retry_policy(self):
-        """The backend-facing :class:`~repro.resilience.runtime.RetryPolicy`
-        (``None`` when pool retries are disabled)."""
-        if self.pool_retries == 0:
-            return None
-        from repro.resilience.runtime import RetryPolicy
-
-        return RetryPolicy(
-            retries=self.pool_retries,
-            base_delay=self.pool_backoff_seconds,
-            max_delay=max(self.pool_backoff_seconds * 8, 1e-9),
-        )
 
 
 def _escalated(config: DARConfig, factor: float) -> DARConfig:
@@ -204,7 +182,6 @@ def _make_miner(
         return ParallelDARMiner(
             config,
             workers=resolve_workers(workers),
-            pool_retry=policy.pool_retry_policy(),
             task_timeout=policy.task_timeout_seconds,
         )
     raise ValueError(

@@ -30,12 +30,8 @@ import sys
 import types
 from typing import Any
 
-from repro.serve.http import RuleServer, ServePolicy
-from repro.serve.publisher import (
-    RefreshSupervisor,
-    SnapshotPublisher,
-    StalenessPolicy,
-)
+from repro.serve.http import RuleServer
+from repro.serve.publisher import SnapshotPublisher, StalenessPolicy
 from repro.serve.query import QueryAnswer, QueryEngine, RuleQuery, apply_query
 from repro.serve.snapshot import RuleSnapshot, compile_snapshot
 
@@ -48,9 +44,7 @@ __all__ = [
     "RuleSnapshot",
     "compile_snapshot",
     "SnapshotPublisher",
-    "RefreshSupervisor",
     "StalenessPolicy",
-    "ServePolicy",
     "RuleServer",
 ]
 
@@ -62,7 +56,6 @@ def serve(
     port: int = 8765,
     cache_size: int = 256,
     start: bool = True,
-    policy: Any = None,
     staleness: Any = None,
 ) -> RuleServer:
     """Publish ``source`` and serve it over HTTP; the ``repro.serve(...)`` facade.
@@ -76,16 +69,13 @@ def serve(
     :meth:`~repro.serve.http.RuleServer.serve_forever` itself (the CLI's
     blocking mode).  ``port=0`` picks a free port.
 
-    ``policy`` (a :class:`~repro.serve.http.ServePolicy`) turns on the
-    overload hardening — admission control with ``429``/``503`` +
-    ``Retry-After``, per-request deadlines, read timeouts, graceful
-    drain; ``staleness`` (a :class:`~repro.serve.publisher.StalenessPolicy`)
+    ``staleness`` (a :class:`~repro.serve.publisher.StalenessPolicy`)
     makes ``/healthz`` degrade ok → warn → crit as the snapshot ages.
     """
     publisher = SnapshotPublisher(
         source, cache_size=cache_size, staleness=staleness
     )
-    server = RuleServer(publisher, host=host, port=port, policy=policy)
+    server = RuleServer(publisher, host=host, port=port)
     if start:
         server.start()
     return server

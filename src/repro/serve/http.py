@@ -18,18 +18,12 @@ Request handling is threaded, so a slow reader never blocks ``/healthz``;
 every request increments ``repro_serve_http_requests_total`` by route and
 status.
 
-**Overload hardening** (:class:`ServePolicy`): every request passes the
-policy's :class:`~repro.resilience.runtime.LoadShedder` — a full
-in-flight gauge sheds with ``503``, an empty token bucket with ``429``,
-both carrying ``Retry-After`` instead of queueing unboundedly
-(``/healthz`` and ``/metrics`` are exempt so operators can always look
-inside).  Admitted requests run under a per-request
-:class:`~repro.resilience.runtime.Deadline` (``503`` on expiry), the
-handler socket carries a read timeout so a slow-loris client cannot pin
-a thread forever, a mid-response client disconnect is counted
+**Connection hygiene**: the handler socket carries a read timeout
+(``read_timeout_seconds``) so a slow-loris client cannot pin a thread
+forever, a mid-response client disconnect is counted
 (``repro_serve_client_disconnects_total``) rather than crashing the
-thread, and :meth:`RuleServer.shutdown` drains in-flight requests before
-closing the socket.
+thread, and :meth:`RuleServer.shutdown` waits up to ``drain_seconds``
+for in-flight requests before closing the socket.
 
 Start with :meth:`RuleServer.start` (background thread, used by the
 library facade) or :meth:`RuleServer.serve_forever` (blocking, used by
@@ -40,10 +34,8 @@ the CLI); ``port=0`` binds an ephemeral port exposed via
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import urlsplit
@@ -54,71 +46,15 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.resilience import faults
-from repro.resilience.errors import (
-    DeadlineExceeded,
-    InjectedFault,
-    RejectedError,
-)
-from repro.resilience.runtime import Clock, Deadline, LoadShedder, SystemClock
+from repro.resilience.errors import InjectedFault
 from repro.serve.publisher import SnapshotPublisher
 
-__all__ = ["ServePolicy", "RuleServer"]
+__all__ = ["RuleServer"]
 
-#: Routes admission control never sheds: operators must be able to read
-#: health and metrics precisely when the server is overloaded.
-SHED_EXEMPT_ROUTES = ("/healthz", "/metrics")
-
-
-@dataclass(frozen=True)
-class ServePolicy:
-    """The serving layer's overload knobs (all optional, all explicit).
-
-    The default policy keeps the pre-hardening behaviour — no admission
-    limits, no deadline — except for the read timeout, which always
-    applies: an unbounded socket read is never the right default.
-    """
-
-    max_inflight: Optional[int] = None
-    """Concurrent admitted requests before shedding with ``503``."""
-    rate: Optional[float] = None
-    """Token-bucket refill in requests/second (``None`` disables)."""
-    burst: Optional[int] = None
-    """Token-bucket capacity (defaults to ``max(1, int(rate))``)."""
-    deadline_seconds: Optional[float] = None
-    """Per-request budget; expiry answers ``503`` with ``Retry-After``."""
-    read_timeout_seconds: float = 30.0
-    """Socket read timeout per request (the anti-slow-loris bound)."""
-    drain_seconds: float = 5.0
-    """How long shutdown waits for in-flight requests to finish."""
-    retry_after_seconds: float = 1.0
-    """The ``Retry-After`` hint attached to in-flight sheds."""
-
-    def __post_init__(self) -> None:
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError("max_inflight must be positive (or None)")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("rate must be positive (or None)")
-        if self.burst is not None and self.burst < 1:
-            raise ValueError("burst must be positive")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive (or None)")
-        if self.read_timeout_seconds <= 0:
-            raise ValueError("read_timeout_seconds must be positive")
-        if self.drain_seconds < 0:
-            raise ValueError("drain_seconds must be non-negative")
-        if self.retry_after_seconds < 0:
-            raise ValueError("retry_after_seconds must be non-negative")
-
-    def build_shedder(self, clock: Optional[Clock] = None) -> LoadShedder:
-        """The policy's admission controller (always built — the in-flight
-        gauge also powers graceful drain even when no limit is set)."""
-        return LoadShedder(
-            self.max_inflight,
-            rate=self.rate,
-            burst=self.burst,
-            retry_after_hint=self.retry_after_seconds,
-            clock=clock,
-        )
+#: Operator routes: never counted as in-flight work (so a drain never
+#: waits on them) and never reached by the ``serve.request`` fault
+#: point, so health and metrics stay readable while /rules is wedged.
+OPERATOR_ROUTES = ("/healthz", "/metrics")
 
 
 class RuleServer:
@@ -126,11 +62,11 @@ class RuleServer:
 
     The server never owns mining: someone else publishes snapshots into
     ``publisher`` (possibly while the server runs — readers pick up the
-    swap on their next request).  ``policy`` configures admission
-    control, deadlines and timeouts; ``clock`` injects time for the
-    chaos suite (deadlines, token refill) and defaults to the real one.
-    Usable as a context manager; exit drains in-flight requests, shuts
-    the listener down and joins the serving thread.
+    swap on their next request).  ``read_timeout_seconds`` bounds each
+    socket read; ``drain_seconds`` is how long :meth:`shutdown` waits for
+    in-flight requests.  Usable as a context manager; exit drains
+    in-flight requests, shuts the listener down and joins the serving
+    thread.
     """
 
     def __init__(
@@ -139,14 +75,19 @@ class RuleServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8765,
-        policy: Optional[ServePolicy] = None,
-        clock: Optional[Clock] = None,
+        read_timeout_seconds: float = 30.0,
+        drain_seconds: float = 5.0,
         slo_pack=None,
     ):
+        if read_timeout_seconds <= 0:
+            raise ValueError("read_timeout_seconds must be positive")
+        if drain_seconds < 0:
+            raise ValueError("drain_seconds must be non-negative")
         self.publisher = publisher
-        self.policy = policy or ServePolicy()
-        self.clock = clock or SystemClock()
-        self.shedder = self.policy.build_shedder(self.clock)
+        self.read_timeout_seconds = read_timeout_seconds
+        self.drain_seconds = drain_seconds
+        self._inflight = 0
+        self._idle = threading.Condition()
         self.slo_pack = list(slo_pack) if slo_pack is not None else None
         self.started_at = time.time()
         handler = _make_handler(self)
@@ -162,6 +103,22 @@ class RuleServer:
         """The bound ``(host, port)`` — port is the real one under ``port=0``."""
         host, port = self._httpd.server_address[:2]
         return str(host), int(port)
+
+    @property
+    def inflight(self) -> int:
+        """Requests currently being handled (operator routes excluded)."""
+        with self._idle:
+            return self._inflight
+
+    def _enter(self) -> None:
+        with self._idle:
+            self._inflight += 1
+
+    def _leave(self) -> None:
+        with self._idle:
+            self._inflight -= 1
+            if self._inflight <= 0:
+                self._idle.notify_all()
 
     @property
     def url(self) -> str:
@@ -200,20 +157,21 @@ class RuleServer:
         """Stop accepting, drain in-flight requests, close, join.
 
         Returns ``True`` when every in-flight request finished within
-        the drain window (``drain_seconds`` overrides the policy's),
+        the drain window (``drain_seconds`` overrides the server's),
         ``False`` when the window expired with work still running —
         either way the listener is closed and the thread joined, so the
         caller always gets its port back.
         """
-        window = (
-            self.policy.drain_seconds if drain_seconds is None else drain_seconds
-        )
+        window = self.drain_seconds if drain_seconds is None else drain_seconds
         # socketserver's shutdown() waits for a serve_forever loop to
         # acknowledge; on a server that never served it would wait forever.
         if self._serving:
             self._httpd.shutdown()
         started = time.perf_counter()
-        drained = self.shedder.drain(timeout=window)
+        with self._idle:
+            drained = self._idle.wait_for(
+                lambda: self._inflight <= 0, timeout=window
+            )
         if obs_metrics.metrics_enabled():
             obs_metrics.observe(
                 "repro_serve_drain_seconds",
@@ -239,7 +197,11 @@ class RuleServer:
             obs_flight.dump(
                 "server-shutdown",
                 health=self.publisher.to_dict(),
-                config={"policy": self.policy.__dict__, "url": self.url},
+                config={
+                    "read_timeout_seconds": self.read_timeout_seconds,
+                    "drain_seconds": self.drain_seconds,
+                    "url": self.url,
+                },
             )
         return drained
 
@@ -249,13 +211,6 @@ class RuleServer:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.shutdown()
         return False
-
-
-def _retry_after_header(seconds: Optional[float]) -> str:
-    """An honest integer ``Retry-After`` value (at least 1 second)."""
-    if seconds is None or seconds <= 0:
-        return "1"
-    return str(max(1, math.ceil(seconds)))
 
 
 def _make_handler(server: RuleServer):
@@ -269,20 +224,19 @@ def _make_handler(server: RuleServer):
         # Per-request correlation state, reset at the top of do_GET.
         _request_id: Optional[str] = None
         _status = 0
-        _shed_reason = ""
         # socketserver applies this to the connection in setup(): a
         # client that stalls mid-request (slow loris) hits the timeout
         # and the connection is closed instead of pinning the thread.
-        timeout = server.policy.read_timeout_seconds
+        timeout = server.read_timeout_seconds
 
         def do_GET(self) -> None:  # noqa: N802 - stdlib handler naming
-            """Correlate, admission-check and dispatch one GET request.
+            """Correlate and dispatch one GET request.
 
             The ``X-Request-Id`` header (generated when absent) becomes
             the request's trace id: it is echoed on the response, stamped
             into every span and log record the request causes, and
             written into exactly one structured ``serve.access`` record
-            per request — success, shed, deadline or crash alike.
+            per request — success, error or crash alike.
             """
             parsed = urlsplit(self.path)
             route = parsed.path.rstrip("/") or "/"
@@ -291,7 +245,6 @@ def _make_handler(server: RuleServer):
             )
             self._request_id = request_id
             self._status = 0
-            self._shed_reason = ""
             started = time.perf_counter()
             context = obs_context.RequestContext(
                 trace_id=request_id, request_id=request_id
@@ -301,46 +254,25 @@ def _make_handler(server: RuleServer):
                     with span("serve.request", route=route):
                         self._dispatch(parsed, route)
                 finally:
-                    fields = {
-                        "method": "GET",
-                        "route": route,
-                        "status": self._status,
-                        "seconds": round(time.perf_counter() - started, 6),
-                        "request_id": request_id,
-                    }
-                    if self._shed_reason:
-                        fields["shed_reason"] = self._shed_reason
-                    obs_log.event("serve.access", **fields)
+                    obs_log.event(
+                        "serve.access",
+                        method="GET",
+                        route=route,
+                        status=self._status,
+                        seconds=round(time.perf_counter() - started, 6),
+                        request_id=request_id,
+                    )
 
         def _dispatch(self, parsed, route: str) -> None:
-            """Admission-check, then dispatch one GET to its route handler."""
-            admission = None
-            deadline = Deadline(None, server.clock)
-            if route not in SHED_EXEMPT_ROUTES:
-                try:
-                    admission = server.shedder.try_admit()
-                except RejectedError as rejected:
-                    status = 429 if rejected.reason == "rate" else 503
-                    self._shed_reason = rejected.reason
-                    self._send_json(
-                        status,
-                        {"error": str(rejected), "reason": rejected.reason},
-                        route=route,
-                        retry_after=rejected.retry_after,
-                    )
-                    return
-                deadline = Deadline(
-                    server.policy.deadline_seconds, server.clock
-                )
+            """Dispatch one GET to its route handler, counting it in flight."""
+            counted = route not in OPERATOR_ROUTES
+            if counted:
+                server._enter()
             try:
-                if admission is not None:
-                    # Fires only on admission-controlled routes, so chaos
-                    # plans can wedge /rules while /healthz and /metrics
-                    # stay readable — the exempt-route guarantee.
+                if counted:
                     faults.fire("serve.request")
-                    deadline.raise_if_expired("request")
                 if route == "/rules":
-                    self._handle_rules(parsed.query, deadline)
+                    self._handle_rules(parsed.query)
                 elif route == "/healthz":
                     self._handle_healthz()
                 elif route == "/metrics":
@@ -354,20 +286,6 @@ def _make_handler(server: RuleServer):
                          "paths": ["/rules", "/healthz", "/metrics", "/"]},
                         route="<unknown>",
                     )
-            except DeadlineExceeded as expired:
-                if obs_metrics.metrics_enabled():
-                    obs_metrics.inc(
-                        "repro_resilience_deadline_exceeded_total",
-                        help="Requests that blew their deadline, by where",
-                        where="serve.request",
-                    )
-                self._shed_reason = "deadline"
-                self._send_json(
-                    503,
-                    {"error": str(expired), "reason": "deadline"},
-                    route=route,
-                    retry_after=server.policy.retry_after_seconds,
-                )
             except (BrokenPipeError, ConnectionResetError):
                 self._count_disconnect(route)
             except Exception as error:  # never kill the serving thread
@@ -379,8 +297,8 @@ def _make_handler(server: RuleServer):
                 except Exception:
                     pass
             finally:
-                if admission is not None:
-                    admission.release()
+                if counted:
+                    server._leave()
 
         def do_POST(self) -> None:  # noqa: N802 - stdlib handler naming
             """The API is read-only; mutation happens through the publisher."""
@@ -401,7 +319,7 @@ def _make_handler(server: RuleServer):
 
         # ------------------------------------------------------------------
 
-        def _handle_rules(self, query_string: str, deadline: Deadline) -> None:
+        def _handle_rules(self, query_string: str) -> None:
             from repro.serve.query import RuleQuery
 
             try:
@@ -417,10 +335,6 @@ def _make_handler(server: RuleServer):
             except ValueError as error:
                 self._send_json(400, {"error": str(error)}, route="/rules")
                 return
-            # The answer is computed but undeliverable within its budget:
-            # shedding here keeps tail latency honest instead of letting
-            # an overloaded server stream ever-later responses.
-            deadline.raise_if_expired("request")
             self._send_json(
                 200,
                 {
@@ -446,7 +360,6 @@ def _make_handler(server: RuleServer):
             report.publish()
             payload = server.publisher.to_dict()
             payload["uptime_seconds"] = time.time() - server.started_at
-            payload["admission"] = server.shedder.to_dict()
             payload["health"] = report.to_dict()
             if slo_report is not None:
                 payload["slo"] = slo_report.to_dict()
@@ -489,28 +402,14 @@ def _make_handler(server: RuleServer):
                     route=route,
                 )
 
-        def _send_json(
-            self,
-            status: int,
-            payload: dict,
-            *,
-            route: str,
-            retry_after: Optional[float] = None,
-        ) -> None:
+        def _send_json(self, status: int, payload: dict, *, route: str) -> None:
             body = json.dumps(payload).encode("utf-8")
             self._send_bytes(
-                status, body, "application/json; charset=utf-8", route=route,
-                retry_after=retry_after if status in (429, 503) else None,
+                status, body, "application/json; charset=utf-8", route=route
             )
 
         def _send_bytes(
-            self,
-            status: int,
-            body: bytes,
-            content_type: str,
-            *,
-            route: str,
-            retry_after: Optional[float] = None,
+            self, status: int, body: bytes, content_type: str, *, route: str
         ) -> None:
             self._status = status
             try:
@@ -519,10 +418,6 @@ def _make_handler(server: RuleServer):
                 self.send_header("Content-Length", str(len(body)))
                 if self._request_id is not None:
                     self.send_header("X-Request-Id", self._request_id)
-                if retry_after is not None:
-                    self.send_header(
-                        "Retry-After", _retry_after_header(retry_after)
-                    )
                 self.end_headers()
                 self.wfile.write(body)
             except (BrokenPipeError, ConnectionResetError):

@@ -19,15 +19,9 @@ class and message appear in :meth:`SnapshotPublisher.to_dict` and as a
 WARN check in :meth:`SnapshotPublisher.health`, so "the refresh silently
 stopped working an hour ago" is a page, not an archaeology project.
 
-**Supervised refresh.**  :class:`RefreshSupervisor` wraps the
-refresh-from-a-source loop in the resilience runtime: compile failures
-retry with jittered exponential backoff
-(:class:`~repro.resilience.runtime.RetryPolicy`), repeated failures trip
-a :class:`~repro.resilience.runtime.CircuitBreaker` (visible in
-``/healthz`` and ``/metrics``) so a broken miner is probed on a cooldown
-instead of hammered, and a :class:`StalenessPolicy` grace window
-degrades health ok → warn → crit as the served snapshot ages past its
-expected refresh cadence — no flapping.
+**Staleness.**  A :class:`StalenessPolicy` grace window degrades health
+ok → warn → crit as the served snapshot ages past its expected refresh
+cadence, so a refresh loop that stopped is a page, not a surprise.
 """
 
 from __future__ import annotations
@@ -42,17 +36,10 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs.health import CRIT, OK, WARN, HealthCheck, HealthReport
 from repro.resilience import faults
-from repro.resilience.errors import CircuitOpenError
-from repro.resilience.runtime import (
-    CircuitBreaker,
-    Clock,
-    RetryPolicy,
-    SystemClock,
-)
 from repro.serve.query import QueryAnswer, QueryEngine, RuleQuery
 from repro.serve.snapshot import RuleSnapshot, compile_snapshot
 
-__all__ = ["StalenessPolicy", "SnapshotPublisher", "RefreshSupervisor"]
+__all__ = ["StalenessPolicy", "SnapshotPublisher"]
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,8 @@ class SnapshotPublisher:
     publisher starts empty and :meth:`query` raises until the first
     :meth:`publish`.  A lock serializes concurrent *publishers* (version
     assignment stays monotone); readers never take it.  ``staleness``
-    (optional) grades snapshot age in :meth:`health`; ``clock`` injects
-    time for deterministic tests.
+    (optional) grades snapshot age in :meth:`health`; ``clock`` is the
+    wall-time reading (epoch seconds) behind publish stamps and ages.
     """
 
     def __init__(
@@ -100,18 +87,17 @@ class SnapshotPublisher:
         *,
         cache_size: int = 256,
         staleness: Optional[StalenessPolicy] = None,
-        clock: Optional[Clock] = None,
+        clock: Callable[[], float] = time.time,
     ):
         self.cache_size = cache_size
         self.staleness = staleness
-        self._clock = clock or SystemClock()
+        self._clock = clock
         self._engine: Optional[QueryEngine] = None
         self._publish_lock = threading.Lock()
         self._versions = itertools.count(1)
         self._published_at: Optional[float] = None
         self._last_failure: Optional[Dict[str, Any]] = None
         self._failures_total = 0
-        self._supervisor: Optional["RefreshSupervisor"] = None
         if source is not None:
             self.publish(source)
 
@@ -202,7 +188,7 @@ class SnapshotPublisher:
         """Remember a failed publish so health/status can surface it."""
         self._failures_total += 1
         self._last_failure = {
-            "at": self._clock.time(),
+            "at": self._clock(),
             "error": type(error).__name__,
             "message": str(error),
         }
@@ -223,7 +209,7 @@ class SnapshotPublisher:
         """Install a pre-built snapshot: one attribute store, no reader locks."""
         engine = QueryEngine(snapshot, cache_size=self.cache_size)
         self._engine = engine  # the atomic swap readers observe
-        self._published_at = self._clock.time()
+        self._published_at = self._clock()
         self._last_failure = None
         if obs_metrics.metrics_enabled():
             obs_metrics.inc(
@@ -263,7 +249,7 @@ class SnapshotPublisher:
         """Seconds since the last swap (``None`` before the first)."""
         if self._published_at is None:
             return None
-        return max(0.0, self._clock.time() - self._published_at)
+        return max(0.0, self._clock() - self._published_at)
 
     def health(self) -> HealthReport:
         """A serve-side :class:`~repro.obs.health.HealthReport`.
@@ -271,10 +257,9 @@ class SnapshotPublisher:
         ``snapshot_published`` is the only gating check (CRIT while
         nothing is served — the ``/healthz`` 503 condition).  With a
         :class:`StalenessPolicy` the age check degrades ok → warn →
-        crit through the grace window; a recorded publish failure and a
-        non-closed refresh circuit surface as WARN so operators see a
-        broken refresh long before the snapshot is stale enough to
-        page.  The rest are informational readings a scraper can trend.
+        crit through the grace window; a recorded publish failure
+        surfaces as WARN so operators see a broken refresh long before
+        the snapshot is stale enough to page.  The rest are informational readings a scraper can trend.
         """
         report = HealthReport()
         snapshot = self.snapshot
@@ -309,9 +294,6 @@ class SnapshotPublisher:
             HealthCheck("snapshot_age_seconds", status, age, detail)
         )
         self._append_failure_check(report)
-        supervisor = self._supervisor
-        if supervisor is not None:
-            report.checks.append(supervisor.health_check())
         engine = self._engine
         if engine is not None:
             info = engine.cache_info()
@@ -339,7 +321,7 @@ class SnapshotPublisher:
                     )
                 )
             return
-        ago = max(0.0, self._clock.time() - self._last_failure["at"])
+        ago = max(0.0, self._clock() - self._last_failure["at"])
         report.checks.append(
             HealthCheck(
                 "last_refresh_failure",
@@ -355,7 +337,7 @@ class SnapshotPublisher:
     def to_dict(self) -> Dict[str, Any]:
         """Serving status as built-ins (the ``/healthz`` payload core)."""
         snapshot = self.snapshot
-        payload = {
+        return {
             "version": self.version,
             "n_rules": snapshot.n_rules if snapshot is not None else 0,
             "created_at": snapshot.created_at if snapshot is not None else None,
@@ -365,155 +347,4 @@ class SnapshotPublisher:
             "publish_failures_total": self._failures_total,
             "health": self.health().to_dict(),
         }
-        if self._supervisor is not None:
-            payload["refresh"] = self._supervisor.to_dict()
-        return payload
 
-
-class RefreshSupervisor:
-    """Keeps a publisher fresh from a source that is allowed to fail.
-
-    ``source`` is whatever :meth:`SnapshotPublisher.refresh` accepts (an
-    object with ``rules()``, typically a streaming miner).  Each
-    :meth:`refresh_once`:
-
-    1. asks the circuit breaker for permission — while the circuit is
-       open the refresh is *skipped* (counted, visible in health), not
-       attempted, so a broken miner gets a cooldown instead of a
-       hammering;
-    2. runs the refresh under the retry policy — transient compile
-       failures back off (jittered exponential, through the clock) and
-       retry up to the policy's cap;
-    3. records the overall outcome with the breaker: enough consecutive
-       failed refreshes trip it, and the first successful probe after
-       the cooldown closes it again.
-
-    Attaching the supervisor registers it with the publisher so its
-    circuit state appears in ``/healthz``.  :meth:`run` drives the loop
-    on an interval through the injectable clock; tests call
-    :meth:`refresh_once` directly and never sleep.
-    """
-
-    def __init__(
-        self,
-        publisher: SnapshotPublisher,
-        source: Any,
-        *,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        clock: Optional[Clock] = None,
-    ):
-        self.publisher = publisher
-        self.source = source
-        self.clock = clock or publisher._clock
-        self.retry = retry if retry is not None else RetryPolicy(retries=2)
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            failure_threshold=3, reset_timeout=30.0,
-            name="publisher.refresh", clock=self.clock,
-        )
-        self.refreshes_total = 0
-        self.skips_total = 0
-        self._stop = threading.Event()
-        publisher._supervisor = self
-
-    def refresh_once(self) -> Optional[RuleSnapshot]:
-        """One supervised refresh; ``None`` when skipped by an open circuit.
-
-        A refresh that still fails after the retry budget re-raises (the
-        caller's loop decides whether to keep going) *after* the breaker
-        has recorded the failure.
-        """
-        try:
-            self.breaker.check()
-        except CircuitOpenError:
-            self.skips_total += 1
-            if obs_metrics.metrics_enabled():
-                obs_metrics.inc(
-                    "repro_serve_refresh_skips_total",
-                    help="Refresh ticks skipped because the circuit was open",
-                )
-            obs_log.warn(
-                "serve.refresh_skipped",
-                circuit=self.breaker.state,
-                skips_total=self.skips_total,
-            )
-            return None
-        try:
-            snapshot = self.retry.call(
-                lambda: self.publisher.refresh(self.source),
-                clock=self.clock,
-            )
-        except Exception:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        self.refreshes_total += 1
-        return snapshot
-
-    def run(
-        self,
-        interval_seconds: float,
-        *,
-        max_ticks: Optional[int] = None,
-    ) -> None:
-        """Tick :meth:`refresh_once` every interval until :meth:`stop`.
-
-        Failures (including post-retry ones) are swallowed here — they
-        are already recorded in the publisher's failure state, the
-        breaker and the metrics; the loop's job is to survive them.
-        ``max_ticks`` bounds the loop for tests and drills.
-        """
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        ticks = 0
-        while not self._stop.is_set():
-            if max_ticks is not None and ticks >= max_ticks:
-                return
-            try:
-                self.refresh_once()
-            except Exception:
-                pass
-            ticks += 1
-            self.clock.sleep(interval_seconds)
-
-    def start(self, interval_seconds: float) -> threading.Thread:
-        """Run the loop on a named daemon thread; returns it."""
-        thread = threading.Thread(
-            target=self.run,
-            args=(interval_seconds,),
-            name="repro-refresh",
-            daemon=True,
-        )
-        thread.start()
-        return thread
-
-    def stop(self) -> None:
-        """Ask a running loop to exit after its current tick."""
-        self._stop.set()
-
-    def health_check(self) -> HealthCheck:
-        """The circuit's state as a health row (warn unless closed)."""
-        state = self.breaker.state
-        status = OK if state == "closed" else WARN
-        retry_after = self.breaker.retry_after()
-        detail = (
-            f"refresh circuit {state} "
-            f"({self.breaker.consecutive_failures} consecutive failure(s), "
-            f"{self.skips_total} skip(s)"
-            + (f"; probe in {retry_after:.1f}s" if retry_after else "")
-            + ")"
-        )
-        from repro.resilience.runtime import _STATE_LEVELS
-
-        return HealthCheck(
-            "refresh_circuit", status, float(_STATE_LEVELS[state]), detail
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Supervisor status for the ``/healthz`` payload."""
-        return {
-            "circuit": self.breaker.to_dict(),
-            "refreshes_total": self.refreshes_total,
-            "skips_total": self.skips_total,
-            "retries": self.retry.retries,
-        }

@@ -71,6 +71,30 @@ class TestValidation:
         miner.update(Relation.empty(Schema.of(a0="interval", a1="interval")))
         assert miner.n_points == 0
 
+    @pytest.mark.parametrize(
+        "option", [{"count_rule_support": True}, {"rule_support_fraction": 0.1}]
+    )
+    def test_support_options_refused(self, option):
+        # The stream keeps no tuples to rescan, so support cannot be counted.
+        with pytest.raises(ValueError, match="rule support"):
+            StreamingDARMiner(PARTITIONS, DARConfig(**option))
+
+    @pytest.mark.parametrize(
+        "option", [{"count_rule_support": True}, {"rule_support_fraction": 0.1}]
+    )
+    def test_checkpoint_with_support_options_refused(self, option, tmp_path):
+        from repro.resilience.checkpoint import write_checkpoint
+
+        _, batches, _ = make_batches()
+        miner = StreamingDARMiner(PARTITIONS)
+        miner.update(batches[0])
+        state = miner.state_dict()
+        state["config"].update(option)
+        path = tmp_path / "support.ckpt"
+        write_checkpoint(state, path)
+        with pytest.raises(ValueError, match="rule support"):
+            StreamingDARMiner.from_checkpoint(path)
+
 
 class TestStreamingBehaviour:
     def test_point_count_accumulates(self):

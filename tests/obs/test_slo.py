@@ -189,21 +189,23 @@ class TestReport:
 class TestDefaultPack:
     def test_healthy_registry_passes(self):
         registry = MetricsRegistry()
-        registry.counter("repro_serve_http_requests_total").inc(100)
-        registry.counter("repro_resilience_shed_total").inc(1)
+        latency = registry.histogram("repro_serve_query_seconds")
+        for _ in range(100):
+            latency.observe(0.001)
         report = slo.evaluate_pack(slo.default_pack(), registry)
         assert report.status == "ok"
         assert report.exit_code() == 0
 
     def test_overloaded_registry_fails(self):
         registry = MetricsRegistry()
-        registry.counter("repro_serve_http_requests_total").inc(100)
-        registry.counter("repro_resilience_shed_total").inc(50)
+        latency = registry.histogram("repro_serve_query_seconds")
+        for _ in range(100):
+            latency.observe(2.0)
         report = slo.evaluate_pack(slo.default_pack(), registry)
         assert report.status == "crit"
         assert report.exit_code() == 1
         (violation,) = report.violations()
-        assert violation.rule.name == "serve_shed_rate"
+        assert violation.rule.name == "serve_query_p99_seconds"
 
 
 class TestPromParity:

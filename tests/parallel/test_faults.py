@@ -18,7 +18,6 @@ from repro.parallel import KILL_WORKER_ENV, ParallelDARMiner, ProcessPoolBackend
 from repro.resilience import faults
 from repro.resilience.errors import WorkerPoolError
 from repro.resilience.guard import GuardPolicy, guarded_mine
-from repro.resilience.runtime import FakeClock, RetryPolicy
 
 from tests.parallel.test_equivalence import rule_signature
 
@@ -118,94 +117,27 @@ def _nap(seconds):
 
 
 class TestPoolRetryRung:
-    """The fresh-pool retry between a WorkerPoolError and serial fallback."""
-
-    def test_transient_submit_fault_retried_to_success(self):
-        clock = FakeClock()
-        injector = faults.FaultInjector().fail_at("pool.submit", times=1)
-        with faults.injected(injector):
-            backend = ProcessPoolBackend(
-                workers=2,
-                retry=RetryPolicy(retries=2, base_delay=0.05, jitter=0.0),
-                clock=clock,
-            )
-            with backend:
-                assert backend.map_tasks(_double, [1, 2, 3]) == [2, 4, 6]
-        # One failed attempt: one backoff pause, through the clock.
-        assert clock.sleeps == [pytest.approx(0.05)]
-
-    def test_exhausted_retries_raise_worker_pool_error(self):
-        clock = FakeClock()
-        injector = faults.FaultInjector().fail_at("pool.submit", times=None)
-        with faults.injected(injector):
-            backend = ProcessPoolBackend(
-                workers=2,
-                retry=RetryPolicy(retries=2, base_delay=0.05, jitter=0.0),
-                clock=clock,
-            )
-            with backend:
-                with pytest.raises(WorkerPoolError, match="worker task failed"):
-                    backend.map_tasks(_double, [1, 2])
-        assert len(clock.sleeps) == 2  # the full retry budget was spent
+    """A failed pool raises on its first failure; the guard's serial
+    fallback is the recovery."""
 
     def test_no_retry_policy_fails_fast(self):
-        clock = FakeClock()
         injector = faults.FaultInjector().fail_at("pool.submit", times=1)
         with faults.injected(injector):
-            with ProcessPoolBackend(workers=2, clock=clock) as backend:
-                with pytest.raises(WorkerPoolError):
+            with ProcessPoolBackend(workers=2) as backend:
+                with pytest.raises(WorkerPoolError, match="worker task failed"):
                     backend.map_tasks(_double, [1])
-        assert clock.sleeps == []
-
-    def test_broken_pool_is_rebuilt_between_attempts(self):
-        """A dead worker poisons its executor; the retry must succeed on
-        a fresh pool rather than re-hitting the broken one."""
-        backend = ProcessPoolBackend(
-            workers=2,
-            retry=RetryPolicy(retries=1, base_delay=0.01, jitter=0.0),
-            clock=FakeClock(),
-        )
-        with backend:
-            with pytest.raises(WorkerPoolError):
-                backend.map_tasks(_exit_hard, [1, 2])
-            # The pool died twice (retry included) — but the backend
-            # rebuilt after the first death, so a sane batch still runs.
-            assert backend.map_tasks(_double, [5]) == [10]
+        assert injector.hits("pool.submit") == 1  # one attempt, no retry
 
     def test_task_timeout_surfaces_as_worker_pool_error(self):
         with ProcessPoolBackend(workers=2, task_timeout=0.2) as backend:
             with pytest.raises(WorkerPoolError, match="timeout"):
                 backend.map_tasks(_nap, [5.0])
 
-    def test_guard_retries_pool_before_degrading(self, planted):
-        """With pool_retries on, a transient submit fault never reaches
-        the serial-fallback rung — the result carries no degradation
-        events and still matches the serial engine."""
-        serial = DARMiner(DARConfig()).mine(planted)
-        injector = faults.FaultInjector().fail_at("pool.submit", times=1)
-        with faults.injected(injector):
-            result = guarded_mine(
-                planted,
-                config=DARConfig(),
-                engine="parallel",
-                workers=2,
-                policy=GuardPolicy(
-                    pool_retries=2, pool_backoff_seconds=0.01
-                ),
-            )
-        assert rule_signature(result) == rule_signature(serial)
-        assert not result.phase2.events
-
-    def test_guard_policy_retry_knobs_validated(self):
-        with pytest.raises(ValueError):
-            GuardPolicy(pool_retries=-1)
+    def test_guard_policy_task_timeout_validated(self):
         with pytest.raises(ValueError):
             GuardPolicy(task_timeout_seconds=0)
-        assert GuardPolicy().pool_retry_policy() is None
-        policy = GuardPolicy(pool_retries=3, pool_backoff_seconds=0.1)
-        retry = policy.pool_retry_policy()
-        assert retry.retries == 3
-        assert retry.base_delay == pytest.approx(0.1)
+        with pytest.raises(TypeError):
+            GuardPolicy(pool_retries=2)
 
 
 class TestFaultPointsUnarmed:

@@ -1,4 +1,4 @@
-"""SnapshotPublisher: atomic swaps, versioning, health, supervised refresh."""
+"""SnapshotPublisher: atomic swaps, versioning, health, failed refreshes."""
 
 import threading
 
@@ -6,13 +6,18 @@ import pytest
 
 from repro.api import mine
 from repro.data.synthetic import make_clustered_relation
-from repro.resilience.runtime import CircuitBreaker, FakeClock, RetryPolicy
-from repro.serve.publisher import (
-    RefreshSupervisor,
-    SnapshotPublisher,
-    StalenessPolicy,
-)
+from repro.serve.publisher import SnapshotPublisher, StalenessPolicy
 from repro.serve.query import RuleQuery
+
+
+class _Clock:
+    """A wall clock that moves only when the test says so."""
+
+    def __init__(self, now=0.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +158,7 @@ class TestFailureVisibility:
     """A failed refresh must leave a record, not just the old snapshot."""
 
     def test_failed_publish_keeps_serving_and_records(self, planted_result):
-        clock = FakeClock(wall_start=1000.0)
+        clock = _Clock(1000.0)
         publisher = SnapshotPublisher(planted_result, clock=clock)
         with pytest.raises(TypeError):
             publisher.publish(object())  # not compilable
@@ -173,14 +178,14 @@ class TestFailureVisibility:
         assert publisher.health().status == "warn"
 
     def test_failed_refresh_source_records_too(self, planted_result):
-        publisher = SnapshotPublisher(planted_result, clock=FakeClock())
+        publisher = SnapshotPublisher(planted_result, clock=_Clock())
         with pytest.raises(RuntimeError, match="wedged"):
             publisher.refresh(_Flaky(planted_result, failures=1))
         assert publisher.last_failure["error"] == "RuntimeError"
         assert publisher.version == 1  # old snapshot still serving
 
     def test_success_clears_failure_but_keeps_the_count(self, planted_result):
-        publisher = SnapshotPublisher(planted_result, clock=FakeClock())
+        publisher = SnapshotPublisher(planted_result, clock=_Clock())
         with pytest.raises(TypeError):
             publisher.publish(object())
         publisher.publish(planted_result)
@@ -207,7 +212,7 @@ class TestStaleness:
             StalenessPolicy(warn_after_seconds=10, crit_after_seconds=5)
 
     def test_health_degrades_as_the_clock_moves(self, planted_result):
-        clock = FakeClock()
+        clock = _Clock()
         publisher = SnapshotPublisher(
             planted_result,
             staleness=StalenessPolicy(
@@ -216,83 +221,18 @@ class TestStaleness:
             clock=clock,
         )
         assert publisher.health().status == "ok"
-        clock.advance(15.0)
+        clock.now += 15.0
         assert publisher.snapshot_age_seconds() == pytest.approx(15.0)
         assert publisher.health().status == "warn"
-        clock.advance(50.0)
+        clock.now += 50.0
         assert publisher.health().status == "crit"
         # A fresh publish resets the age — full recovery, no flapping.
         publisher.publish(planted_result)
         assert publisher.health().status == "ok"
 
     def test_no_policy_age_is_informational(self, planted_result):
-        clock = FakeClock()
+        clock = _Clock()
         publisher = SnapshotPublisher(planted_result, clock=clock)
-        clock.advance(1e6)
+        clock.now += 1e6
         assert publisher.health().status == "ok"
 
-
-class TestRefreshSupervisor:
-    def test_transient_failure_retried_within_one_tick(self, planted_result):
-        clock = FakeClock()
-        publisher = SnapshotPublisher(planted_result, clock=clock)
-        supervisor = RefreshSupervisor(
-            publisher,
-            _Flaky(planted_result, failures=1),
-            retry=RetryPolicy(retries=2, base_delay=0.5, jitter=0.0),
-            clock=clock,
-        )
-        snapshot = supervisor.refresh_once()
-        assert snapshot is not None
-        assert publisher.version == 2
-        assert clock.sleeps == [pytest.approx(0.5)]  # one backoff pause
-        assert supervisor.breaker.state == "closed"
-        assert publisher.last_failure is None  # the retry recovered
-
-    def test_repeated_failure_trips_then_skips(self, planted_result):
-        clock = FakeClock()
-        publisher = SnapshotPublisher(planted_result, clock=clock)
-        supervisor = RefreshSupervisor(
-            publisher,
-            _Flaky(planted_result, failures=100),
-            retry=RetryPolicy(retries=0),
-            breaker=CircuitBreaker(
-                failure_threshold=2, reset_timeout=30.0,
-                name="publisher.refresh", clock=clock,
-            ),
-            clock=clock,
-        )
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                supervisor.refresh_once()
-        assert supervisor.breaker.state == "open"
-        assert supervisor.refresh_once() is None  # skipped, not attempted
-        assert supervisor.skips_total == 1
-        checks = {c.name: c for c in publisher.health().checks}
-        assert checks["refresh_circuit"].status == "warn"
-
-    def test_run_loop_survives_failures_and_stops(self, planted_result):
-        clock = FakeClock()
-        publisher = SnapshotPublisher(planted_result, clock=clock)
-        supervisor = RefreshSupervisor(
-            publisher,
-            _Flaky(planted_result, failures=2),
-            retry=RetryPolicy(retries=0),
-            clock=clock,
-        )
-        supervisor.run(interval_seconds=5.0, max_ticks=4)
-        # Two failed ticks (swallowed), then two successful re-publishes.
-        assert publisher.version == 3
-        assert supervisor.refreshes_total == 2
-        assert clock.sleeps == [5.0] * 4  # the loop paces through the clock
-
-    def test_attachment_surfaces_in_to_dict(self, planted_result):
-        publisher = SnapshotPublisher(planted_result, clock=FakeClock())
-        supervisor = RefreshSupervisor(
-            publisher, _Flaky(planted_result, failures=0),
-            clock=publisher._clock,
-        )
-        supervisor.refresh_once()
-        payload = publisher.to_dict()
-        assert payload["refresh"]["refreshes_total"] == 1
-        assert payload["refresh"]["circuit"]["state"] == "closed"

@@ -414,6 +414,29 @@ class TestResilienceFlags:
         ]) == 1
         assert "does not support --mixed" in capsys.readouterr().err
 
+    def test_checkpoint_with_count_support_rejected(
+        self, clustered_csv, tmp_path, capsys
+    ):
+        assert main([
+            "mine", clustered_csv,
+            "--checkpoint", str(tmp_path / "x.ckpt"), "--count-support",
+        ]) == 1
+        assert "--count-support" in capsys.readouterr().err
+
+    def test_resume_with_count_support_rejected(
+        self, clustered_csv, tmp_path, capsys
+    ):
+        ckpt = str(tmp_path / "run.ckpt")
+        assert main([
+            "mine", clustered_csv,
+            "--checkpoint", ckpt, "--checkpoint-every", "200",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "mine", clustered_csv, "--resume", ckpt, "--count-support",
+        ]) == 1
+        assert "--count-support" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_reported(self, clustered_csv, tmp_path, capsys):
         ckpt = tmp_path / "run.ckpt"
         ckpt.write_bytes(b"not a checkpoint at all, just junk bytes here")
@@ -689,6 +712,17 @@ class TestServeRoundTrip:
             str(rule) for rule in expected
         ]
 
+    @pytest.mark.parametrize(
+        "flag", ["--max-inflight", "--rate", "--burst", "--deadline-ms"]
+    )
+    def test_retired_overload_flags_rejected(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", "--snapshot", str(tmp_path / "rules.snap"), flag, "1",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_subprocess_serve_shuts_down_cleanly(self, planted_csv, tmp_path):
         snap = tmp_path / "rules.snap"
         assert main(["snapshot", planted_csv, "--out", str(snap)]) == 0
@@ -781,11 +815,18 @@ class TestLoggingAndPostmortemFlags:
 class TestSloCommand:
     HEALTHY = (
         "repro_serve_http_requests_total 100\n"
-        "repro_resilience_shed_total 1\n"
+        'repro_serve_query_seconds_bucket{le="0.01"} 100\n'
+        'repro_serve_query_seconds_bucket{le="+Inf"} 100\n'
+        "repro_serve_query_seconds_sum 0.1\n"
+        "repro_serve_query_seconds_count 100\n"
     )
     OVERLOADED = (
         "repro_serve_http_requests_total 100\n"
-        "repro_resilience_shed_total 50\n"
+        'repro_serve_query_seconds_bucket{le="1"} 0\n'
+        'repro_serve_query_seconds_bucket{le="10"} 100\n'
+        'repro_serve_query_seconds_bucket{le="+Inf"} 100\n'
+        "repro_serve_query_seconds_sum 200\n"
+        "repro_serve_query_seconds_count 100\n"
     )
 
     def _prom(self, tmp_path, text):
@@ -803,7 +844,7 @@ class TestSloCommand:
         assert main([
             "slo", "check", "--metrics", self._prom(tmp_path, self.OVERLOADED),
         ]) == 1
-        assert "serve_shed_rate" in capsys.readouterr().out
+        assert "serve_query_p99_seconds" in capsys.readouterr().out
 
     def test_json_output_is_parseable(self, tmp_path, capsys):
         assert main([
@@ -812,11 +853,12 @@ class TestSloCommand:
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "ok"
-        assert len(report["results"]) == 5  # the default pack
+        assert len(report["results"]) == 3  # the default pack
 
     def test_fail_on_warn_tightens_the_gate(self, tmp_path, capsys):
         warn_only = self.HEALTHY + (
-            'repro_resilience_circuit_state{circuit="publisher.refresh"} 1\n'
+            "repro_rows_ok_total 100\n"
+            "repro_quarantined_rows_total 10\n"
         )
         path = self._prom(tmp_path, warn_only)
         assert main(["slo", "check", "--metrics", path]) == 0
