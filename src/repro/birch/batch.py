@@ -61,7 +61,6 @@ from repro.birch.features import ACF, CF
 from repro.birch.node import InternalNode, LeafNode, Node
 from repro.metrics.cluster import rms_diameter_from_moments
 from repro.obs import metrics as obs_metrics
-from repro.obs.profile import profiled
 from repro.obs.trace import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -589,7 +588,7 @@ class BatchInserter:
             "phase1.insert_batch",
             size=batch.size,
             mode="points" if point_mode else "entries",
-        ) as current_span, profiled("phase1.insert_batch"):
+        ) as current_span:
             started = time.perf_counter()
             tree = self.tree
             splits_before = tree.n_splits

@@ -155,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--metrics", action="store_true",
                       help="record counters/gauges/histograms and print "
                       "the metrics table after the rules")
-    mine.add_argument("--profile", action="store_true",
-                      help="sample per-stage numpy call counts and "
-                      "allocations (adds overhead; implies a report "
-                      "after the rules)")
     mine.add_argument("--report", metavar="PATH", default=None,
                       help="write a self-contained HTML run report "
                       "(span waterfall, metrics, health) to PATH; "
@@ -176,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--postmortem-dir", metavar="DIR", default=None,
                       help="arm the flight recorder: on a crash, write a "
                       "postmortem bundle (.tar.gz with recent logs/spans/"
-                      "metrics, health, config) into DIR; implies tracing "
-                      "and metrics for the run")
+                      "metrics, health, config) into DIR; implies tracing, "
+                      "metrics and in-memory logging for the run")
 
     baseline = commands.add_parser(
         "baseline", help="Srikant-Agrawal quantitative rules (equi-depth)"
@@ -216,19 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--out", required=True, metavar="PATH",
                           help="snapshot output path (versioned, "
                           "CRC-checked container)")
-    snapshot.add_argument("--frequency", type=float, default=0.03,
+    # Mining flags default to None so a flag given with a checkpoint
+    # source is detected and refused; CSV sources fall back to the
+    # DARConfig defaults.
+    snapshot.add_argument("--frequency", type=float, default=None,
                           help="frequency threshold s0 as a fraction "
                           "(default 0.03; CSV sources only)")
-    snapshot.add_argument("--density-fraction", type=float, default=0.15,
+    snapshot.add_argument("--density-fraction", type=float, default=None,
                           help="d0 as a fraction of each column's spread "
                           "(default 0.15; CSV sources only)")
-    snapshot.add_argument("--degree-factor", type=float, default=2.0,
+    snapshot.add_argument("--degree-factor", type=float, default=None,
                           help="D0 = degree-factor x d0 (default 2.0; "
                           "CSV sources only)")
-    snapshot.add_argument("--metric", choices=("d1", "d2"), default="d2",
+    snapshot.add_argument("--metric", choices=("d1", "d2"), default=None,
                           help="cluster distance for Phase II (default d2; "
                           "CSV sources only)")
     snapshot.add_argument("--count-support", action="store_true",
+                          default=None,
                           help="count classical support per rule so "
                           "min_support queries work (CSV sources only)")
     snapshot.add_argument("--target", default=None,
@@ -406,19 +406,18 @@ def _mine_streaming(relation: Relation, config: DARConfig, args):
 def _cmd_mine(args: argparse.Namespace) -> int:
     """Run ``mine``, wiring up observability when any of its flags are set.
 
-    ``--trace``/``--metrics``/``--profile`` reset the corresponding
-    recorders first, so repeated in-process invocations (tests, notebooks)
-    start from a clean slate and the exported numbers describe exactly
-    this run.  ``--report`` implies tracing + metrics (the dashboard needs
-    both) and ``--metrics-out`` implies metrics recording.  ``--log``
+    The tracer, logger and registry are reset first, so repeated
+    in-process invocations (tests, notebooks) start from a clean slate
+    and the exported numbers describe exactly this run.  ``--report``
+    implies tracing + metrics (the dashboard needs both) and
+    ``--metrics-out`` implies metrics recording.  ``--log``
     turns on the structured JSONL logger; ``--postmortem-dir`` arms the
-    flight recorder (implying tracing + metrics, so a bundle has spans
-    and a registry snapshot to carry) and dumps a bundle if the run
-    crashes.
+    flight recorder (implying tracing, metrics and sink-less logging, so
+    a bundle has spans, log records and a registry snapshot to carry)
+    and dumps a bundle if the run crashes.
     """
     wants_obs = (
-        args.trace or args.metrics or args.profile
-        or args.report or args.metrics_out
+        args.trace or args.metrics or args.report or args.metrics_out
         or args.log or args.postmortem_dir
     )
     if not wants_obs:
@@ -428,15 +427,17 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
     tracer = obs.get_tracer()
     tracer.clear()
+    obs.get_logger().clear()
     obs.get_registry().reset()
-    obs.reset_profiles()
     obs.enable(
         trace=bool(args.trace or args.report or args.postmortem_dir),
         metrics=bool(
             args.metrics or args.report or args.metrics_out
             or args.postmortem_dir
         ),
-        profile=args.profile,
+        # The postmortem window is the tracer and logger rings, so an
+        # armed run records both (the logger without a sink).
+        log=bool(args.postmortem_dir),
     )
     if args.log:
         obs.enable_logging(level=args.log_level, path=args.log)
@@ -462,9 +463,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.metrics:
         print("\n# metrics", file=sys.stderr)
         print(obs.get_registry().to_table(), file=sys.stderr)
-    if args.profile:
-        print("\n# profile", file=sys.stderr)
-        print(obs.profile_report(), file=sys.stderr)
     if args.trace:
         if str(args.trace).endswith(".jsonl"):
             _atomic_write_text(args.trace, tracer.to_jsonl())
@@ -497,32 +495,36 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _result_health(result, n_rows: int, sink):
-    """A :class:`~repro.obs.health.HealthReport` for a finished batch mine.
+    """A :class:`~repro.obs.slo.HealthReport` for a finished batch mine.
 
-    Batch mines have no live miner to interrogate, so the report is
-    reconstructed from the result's Phase I diagnostics: leaf entries and
-    rebuilds per partition, threshold inflation from each partition's
-    escalation history, and the quarantine rate from the load sink.
+    Batch mines have no live miner to interrogate, so the readings come
+    from the result's Phase I diagnostics — leaf entries and rebuilds per
+    partition, threshold inflation from each partition's escalation
+    history — and the quarantine rate from the load sink; the streaming
+    health pack grades them.
     """
-    from repro.obs.health import HealthMonitor
+    from repro.obs.slo import HEALTH_PACK, evaluate_pack
 
     phase1 = getattr(result, "phase1", None) or {}
-    leaf_entries = {
-        name: stats.final_entry_count for name, stats in phase1.items()
-    }
-    inflation = {}
-    for name, stats in phase1.items():
+    inflation = []
+    for stats in phase1.values():
         history = getattr(stats, "threshold_history", None) or []
         if len(history) >= 2 and history[0] > 0:
-            inflation[name] = history[-1] / history[0]
-    rebuilds = {name: stats.rebuilds for name, stats in phase1.items()}
+            inflation.append(history[-1] / history[0])
     quarantined = sink.n_quarantined if sink is not None else 0
-    return HealthMonitor().evaluate(
-        leaf_entries=leaf_entries,
-        threshold_inflation=inflation,
-        rebuilds=rebuilds,
-        rows_seen=n_rows + quarantined,
-        rows_quarantined=quarantined,
+    readings = {
+        "repro_phase1_entry_count": sum(
+            stats.final_entry_count for stats in phase1.values()
+        ),
+        "repro_phase1_threshold_inflation": max(inflation, default=1.0),
+        "repro_phase1_rebuilds_total": sum(
+            stats.rebuilds for stats in phase1.values()
+        ),
+        "repro_quarantined_rows_total": quarantined,
+        "repro_rows_seen_total": n_rows + quarantined,
+    }
+    return evaluate_pack(HEALTH_PACK, readings).to_health_report(
+        prefix="", skipped=False
     )
 
 
@@ -828,33 +830,56 @@ def _is_checkpoint_file(path: str) -> bool:
 
 
 def _snapshot_source(path: str, config: Optional[DARConfig] = None,
-                     targets: Optional[Sequence[str]] = None):
+                     targets: Optional[Sequence[str]] = None,
+                     mining_flags: Sequence[str] = ()):
     """Resolve a ``snapshot``/``serve`` source argument.
 
     A checkpoint file (rule snapshot or streaming miner state) passes
     through as its path for :func:`repro.serve.compile_snapshot` to
     dispatch on; anything else is loaded as a relation CSV and mined.
+    ``mining_flags`` names the mining flags the user set: a checkpoint
+    is already mined, so they are refused rather than dropped.
     """
     if _is_checkpoint_file(path):
+        if mining_flags:
+            raise ValueError(
+                f"{', '.join(mining_flags)}: mining flags apply to CSV "
+                f"sources only, and {path} is a checkpoint"
+            )
         return path
     relation = _load_relation(path)
     return mine_relation(relation, config=config, targets=targets)
+
+
+#: ``repro snapshot`` mining flags: (argparse dest, DARConfig field, flag).
+_SNAPSHOT_MINING_FLAGS = (
+    ("frequency", "frequency_fraction", "--frequency"),
+    ("density_fraction", "density_fraction", "--density-fraction"),
+    ("degree_factor", "degree_factor", "--degree-factor"),
+    ("metric", "metric", "--metric"),
+    ("count_support", "count_rule_support", "--count-support"),
+)
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     """Compile ``source`` into a versioned rule snapshot at ``--out``."""
     from repro.serve import compile_snapshot
 
-    config = DARConfig(
-        frequency_fraction=args.frequency,
-        density_fraction=args.density_fraction,
-        degree_factor=args.degree_factor,
-        metric=args.metric,
-        count_rule_support=args.count_support,
-    )
+    chosen = {}
+    flags = []
+    for dest, field, flag in _SNAPSHOT_MINING_FLAGS:
+        value = getattr(args, dest)
+        if value is not None:
+            chosen[field] = value
+            flags.append(flag)
+    if args.target is not None:
+        flags.append("--target")
     targets = args.target.split(",") if args.target else None
     snapshot = compile_snapshot(
-        _snapshot_source(args.source, config=config, targets=targets)
+        _snapshot_source(
+            args.source, config=DARConfig(**chosen), targets=targets,
+            mining_flags=flags,
+        )
     )
     info = snapshot.save(args.out)
     print(
@@ -891,6 +916,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         obs.enable_logging(level=args.log_level, path=args.log)
     if args.postmortem_dir:
         obs.enable_tracing()
+        obs.enable_logging()
         obs.enable_flight(
             directory=args.postmortem_dir,
             config={"command": "serve", "snapshot": args.snapshot},

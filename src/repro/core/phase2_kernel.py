@@ -34,7 +34,6 @@ import numpy as np
 from repro.birch.features import CF
 from repro.core.cluster import CLUSTER_METRICS, Cluster
 from repro.obs import metrics as obs_metrics
-from repro.obs.profile import profiled
 from repro.obs.trace import span
 
 __all__ = ["ImageMoments", "Phase2Kernel", "pairwise_block", "require_finite"]
@@ -262,9 +261,7 @@ class Phase2Kernel:
     def _compute_pairwise(self, moments: ImageMoments) -> np.ndarray:
         k = moments.k
         n_blocks = -(-k // self.block_size) if k else 0
-        with span(
-            "phase2.kernel.pairwise", k=k, blocks=n_blocks
-        ), profiled("phase2.kernel.pairwise"):
+        with span("phase2.kernel.pairwise", k=k, blocks=n_blocks):
             if obs_metrics.metrics_enabled():
                 obs_metrics.set_gauge(
                     "repro_kernel_block_size",

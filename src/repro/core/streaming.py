@@ -48,7 +48,7 @@ from repro.core.miner import DARResult
 from repro.core.phase2 import run_phase2
 from repro.data.relation import AttributePartition, Relation
 from repro.obs import metrics as obs_metrics
-from repro.obs.health import HealthMonitor, HealthReport, HealthThresholds
+from repro.obs.slo import HEALTH_PACK, HealthReport, SLORule, evaluate_pack
 from repro.obs.trace import span
 from repro.resilience import faults
 from repro.resilience.errors import CheckpointCorruptError, ValidationError
@@ -469,9 +469,7 @@ class StreamingDARMiner:
 
     # ------------------------------------------------------------------
 
-    def health(
-        self, thresholds: Optional[HealthThresholds] = None
-    ) -> HealthReport:
+    def health(self, rules: Optional[Sequence[SLORule]] = None) -> HealthReport:
         """Grade the miner's live state as ``ok`` / ``warn`` / ``crit``.
 
         Monitors the slow failure modes of a long stream: total leaf
@@ -479,37 +477,36 @@ class StreamingDARMiner:
         first batch (memory-pressure escalations coarsen summaries), the
         accumulated rebuild count, the quarantine rate (rows offered but
         not absorbed), and — once checkpointing has started — the age of
-        the last successful checkpoint.  See
-        :class:`repro.obs.health.HealthThresholds` for the trip points.
+        the last successful checkpoint.  ``rules`` grades those readings
+        (default :data:`repro.obs.slo.HEALTH_PACK`).
         """
         if self._density is None:
             raise RuntimeError("no data yet: health is defined after the first batch")
-        leaf_entries = {
-            name: tree.summary_counts()[0] for name, tree in self._trees.items()
+        readings = {
+            "repro_phase1_entry_count": sum(
+                tree.summary_counts()[0] for tree in self._trees.values()
+            ),
+            "repro_phase1_threshold_inflation": max(
+                (
+                    tree.threshold / self._density[name]
+                    if self._density[name] > 0
+                    else 1.0
+                    for name, tree in self._trees.items()
+                ),
+                default=1.0,
+            ),
+            "repro_phase1_rebuilds_total": sum(
+                stats.rebuilds for stats in self._scan_stats.values()
+            ),
+            "repro_quarantined_rows_total": self._rows_seen - self._n_points,
+            "repro_rows_seen_total": self._rows_seen,
         }
-        inflation = {
-            name: (tree.threshold / self._density[name])
-            if self._density[name] > 0
-            else 1.0
-            for name, tree in self._trees.items()
-        }
-        rebuilds = {
-            name: stats.rebuilds for name, stats in self._scan_stats.items()
-        }
-        age = (
-            time.monotonic() - self._last_checkpoint_monotonic
-            if self._last_checkpoint_monotonic is not None
-            else None
-        )
-        return HealthMonitor(thresholds).evaluate(
-            leaf_entries=leaf_entries,
-            threshold_inflation=inflation,
-            rebuilds=rebuilds,
-            rows_seen=self._rows_seen,
-            rows_quarantined=self._rows_seen - self._n_points,
-            checkpoint_age_seconds=age,
-            checkpointing=self._last_checkpoint_monotonic is not None,
-        )
+        if self._last_checkpoint_monotonic is not None:
+            readings["repro_checkpoint_age_seconds"] = (
+                time.monotonic() - self._last_checkpoint_monotonic
+            )
+        report = evaluate_pack(HEALTH_PACK if rules is None else rules, readings)
+        return report.to_health_report(prefix="", skipped=False)
 
     def rules(self) -> DARResult:
         """Materialize the current rule set from the live summaries.

@@ -1,6 +1,6 @@
-"""repro.obs — zero-dependency observability: tracing, metrics, profiling.
+"""repro.obs — zero-dependency observability: tracing, metrics, logging.
 
-Three independent, individually-switchable layers, all off by default and
+Independent, individually-switchable layers, all off by default and
 all designed so the *disabled* cost at an instrumentation site is a
 single boolean check (gated below 2% of the hot-path benchmarks by
 ``benchmarks/test_perf_obs_overhead.py``):
@@ -13,8 +13,12 @@ single boolean check (gated below 2% of the hot-path benchmarks by
   and histograms (rows ingested, splits, rebuilds, quarantined rows,
   clique counts, checkpoint bytes/seconds, ...), renderable as a
   Prometheus text exposition or a human table.
-* :mod:`repro.obs.profile` — opt-in allocation and call-count sampling
-  of the numpy kernels (batch insert, Phase II distances).
+* :mod:`repro.obs.log` — leveled JSONL records in a bounded ring.
+
+On top of them, :mod:`repro.obs.slo` grades health as SLO rules (the
+serving pack over metrics, the streaming health pack over a miner's
+readings) and :mod:`repro.obs.flight` cuts postmortem bundles from the
+tracer and logger rings.
 
 Quickstart::
 
@@ -27,8 +31,8 @@ Quickstart::
     obs.disable()
 
 The CLI exposes the same switches: ``repro mine data.csv --trace
-trace.json --metrics --profile``.  See ``docs/OBSERVABILITY.md`` for the
-span taxonomy and the full metric catalog.
+trace.json --metrics --log run.jsonl``.  See ``docs/OBSERVABILITY.md``
+for the span taxonomy and the full metric catalog.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ from repro.obs.log import (
 )
 from repro.obs.slo import (
     DEFAULT_PACK,
+    HEALTH_PACK,
+    HealthCheck,
+    HealthReport,
     SLOReport,
     SLOResult,
     SLORule,
@@ -72,12 +79,6 @@ from repro.obs.slo import (
     load_pack,
     parse_prometheus,
     registry_view,
-)
-from repro.obs.health import (
-    HealthCheck,
-    HealthMonitor,
-    HealthReport,
-    HealthThresholds,
 )
 from repro.obs.metrics import (
     Counter,
@@ -91,16 +92,6 @@ from repro.obs.metrics import (
     metrics_enabled,
     observe,
     set_gauge,
-)
-from repro.obs.profile import (
-    StageProfile,
-    disable_profiling,
-    enable_profiling,
-    profile_report,
-    profiled,
-    profiles,
-    profiling_enabled,
-    reset_profiles,
 )
 from repro.obs.trace import (
     Span,
@@ -121,9 +112,7 @@ __all__ = [
     "publish_build_info",
     # health
     "HealthCheck",
-    "HealthMonitor",
     "HealthReport",
-    "HealthThresholds",
     # trace
     "Span",
     "Tracer",
@@ -144,15 +133,6 @@ __all__ = [
     "inc",
     "set_gauge",
     "observe",
-    # profiling
-    "StageProfile",
-    "profiled",
-    "profiles",
-    "profile_report",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
-    "reset_profiles",
     # context / correlation
     "RequestContext",
     "new_trace_id",
@@ -186,6 +166,7 @@ __all__ = [
     "SLOResult",
     "SLOReport",
     "DEFAULT_PACK",
+    "HEALTH_PACK",
     "default_pack",
     "evaluate_pack",
     "load_pack",
@@ -214,25 +195,21 @@ def enable(
     *,
     trace: bool = True,
     metrics: bool = True,
-    profile: bool = False,
     log: bool = False,
 ) -> None:
     """Switch observability layers on (tracing and metrics by default).
 
-    Profiling is a separate opt-in because its samplers (tracemalloc,
-    ``sys.setprofile``) carry real overhead; tracing and metrics are
-    cheap enough to leave on for whole production mines.  ``log=True``
-    turns on the structured logger with its current sink configuration
-    (use :func:`enable_logging` directly to pick a level or sink).
-    Enabling metrics also registers the ``repro_build_info`` gauge.
+    Tracing and metrics are cheap enough to leave on for whole
+    production mines.  ``log=True`` turns on the structured logger with
+    its current sink configuration (use :func:`enable_logging` directly
+    to pick a level or sink).  Enabling metrics also registers the
+    ``repro_build_info`` gauge.
     """
     if trace:
         enable_tracing()
     if metrics:
         enable_metrics()
         publish_build_info()
-    if profile:
-        enable_profiling()
     if log:
         enable_logging()
 
@@ -241,15 +218,9 @@ def disable() -> None:
     """Switch every observability layer off (recorded data is kept)."""
     disable_tracing()
     disable_metrics()
-    disable_profiling()
     disable_logging()
 
 
 def enabled() -> bool:
     """Whether any observability layer is currently recording."""
-    return (
-        tracing_enabled()
-        or metrics_enabled()
-        or profiling_enabled()
-        or logging_enabled()
-    )
+    return tracing_enabled() or metrics_enabled() or logging_enabled()

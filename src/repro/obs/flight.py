@@ -1,26 +1,25 @@
-"""Flight recorder: a crash-proof window of recent activity + postmortems.
+"""Flight recorder: postmortem bundles cut from the tracer and logger rings.
 
-A :class:`FlightRecorder` keeps a lock-cheap ring buffer of the last N
-observability events — structured log records, span closes and metric
-deltas — regardless of whether any sink or exporter is configured.  When
-something dies (unhandled exception, fault-injection trip, SIGTERM, or
-an explicit call) :meth:`FlightRecorder.dump` freezes that window into a
-single *postmortem bundle*: a ``.tar.gz`` containing
+The recent-activity window is what the tracer and the structured logger
+already hold in their ring buffers; the recorder keeps no ring of its
+own.  When something dies (unhandled exception, fault-injection trip,
+SIGTERM, or an explicit call) :meth:`FlightRecorder.dump` freezes that
+window into a single *postmortem bundle*: a ``.tar.gz`` containing
 
 ==================  ====================================================
-``events.jsonl``    the ring buffer, oldest first, one JSON event/line
+``events.jsonl``    finished spans and log records in wall-clock order,
+                    one ``{"ts", "kind", "data"}`` object per line
 ``metrics.prom``    the full Prometheus exposition at dump time
-``health.json``     the health report rows, when the caller has one
+``health.json``     the caller's health payload, or the default SLO
+                    pack's verdicts over the live registry
 ``config.json``     run configuration (CLI args, server policy, ...)
 ``meta.json``       reason, timestamps, platform/python/numpy versions,
-                    git SHA, pid, drop counters
+                    git SHA, pid, ring drop counters
 ==================  ====================================================
 
-Enabling the recorder (:func:`enable_flight`) installs cheap hooks into
-the tracer, the metrics emission helpers and the structured logger, so
-instrumented code needs no changes; disabling uninstalls them.  Each
-hook is one global read when the recorder is off and one deque append
-under a lock when it is on.
+The window only holds what the layers recorded, so arming the recorder
+(:func:`enable_flight`) is useful together with tracing and logging —
+``--postmortem-dir`` implies tracing and metrics for that reason.
 
 Dump sites are wired into ``guarded_mine``, ``ParallelDARMiner``,
 ``RuleServer.shutdown``, fault-injection trips and the CLI's top-level
@@ -39,12 +38,12 @@ import subprocess
 import tarfile
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.obs import log as _log
 from repro.obs import metrics as _metrics
+from repro.obs import slo as _slo
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -53,14 +52,10 @@ __all__ = [
     "disable_flight",
     "flight_enabled",
     "get_flight",
-    "record",
     "dump",
     "dump_on_error",
     "build_metadata",
 ]
-
-#: Default ring capacity: the postmortem window, in events.
-DEFAULT_CAPACITY = 4096
 
 #: Attribute set on exception objects once a bundle has been written for
 #: them, so nested dump hooks do not produce duplicate bundles.
@@ -103,73 +98,43 @@ def build_metadata() -> Dict[str, str]:
 
 
 class FlightRecorder:
-    """Bounded ring of recent obs events plus the postmortem writer."""
+    """Postmortem writer over the tracer and logger rings."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        directory: Optional[Union[str, Path]] = None,
-    ):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self, directory: Optional[Union[str, Path]] = None):
         self.directory = Path(directory) if directory is not None else Path(".")
         self.config: Dict[str, Any] = {}
-        self._events: deque = deque(maxlen=capacity)
-        self._lock = threading.Lock()
         self._dump_lock = threading.Lock()
-        self.n_recorded = 0
-        self.n_dropped = 0
         self.n_dumps = 0
 
-    # -- recording ------------------------------------------------------
-
-    def record(self, kind: str, data: Mapping[str, Any]) -> None:
-        """Append one event to the ring (evicting the oldest when full)."""
-        entry = {"ts": time.time(), "kind": kind, "data": dict(data)}
-        with self._lock:
-            if len(self._events) == self.capacity:
-                self.n_dropped += 1
-            self._events.append(entry)
-            self.n_recorded += 1
-
     def events(self) -> List[Dict[str, Any]]:
-        """Ring contents, oldest first (a snapshot copy)."""
-        with self._lock:
-            return list(self._events)
+        """The window: finished spans and log records, wall-clock order.
 
-    def clear(self) -> None:
-        """Empty the ring and reset the counters."""
-        with self._lock:
-            self._events.clear()
-            self.n_recorded = 0
-            self.n_dropped = 0
-
-    # -- hooks installed into the other obs layers ----------------------
-
-    def _on_log(self, record_dict: Mapping[str, Any]) -> None:
-        self.record("log", record_dict)
-
-    def _on_span(self, span) -> None:
-        self.record(
-            "span",
+        Spans are stamped at their close, converted from the tracer's
+        perf-counter clock to epoch seconds; log records keep their own
+        ``ts``.
+        """
+        offset = time.time() - time.perf_counter()
+        events = [
             {
-                "name": span.name,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "trace_id": span.trace_id,
-                "seconds": span.seconds,
-                "attributes": dict(span.attributes),
-            },
+                "ts": offset + (record.end or record.start),
+                "kind": "span",
+                "data": {
+                    "name": record.name,
+                    "span_id": record.span_id,
+                    "parent_id": record.parent_id,
+                    "trace_id": record.trace_id,
+                    "seconds": record.seconds,
+                    "attributes": dict(record.attributes),
+                },
+            }
+            for record in _trace.get_tracer().spans()
+        ]
+        events.extend(
+            {"ts": record["ts"], "kind": "log", "data": record}
+            for record in _log.get_logger().records()
         )
-
-    def _on_metric(self, kind: str, name: str, value, labels: Mapping[str, str]) -> None:
-        self.record(
-            "metric",
-            {"metric": name, "op": kind, "value": value, "labels": dict(labels)},
-        )
-
-    # -- postmortem bundles ---------------------------------------------
+        events.sort(key=lambda entry: entry["ts"])
+        return events
 
     def dump(
         self,
@@ -182,9 +147,10 @@ class FlightRecorder:
     ) -> Path:
         """Write one postmortem bundle; returns the ``.tar.gz`` path.
 
-        ``reason`` is slugged into the file name.  ``health`` and
-        ``config`` override/extend what the recorder already knows; the
-        events, metrics and metadata members are always present.  The
+        ``reason`` is slugged into the file name.  ``health`` defaults to
+        the :data:`~repro.obs.slo.DEFAULT_PACK` verdicts over the live
+        registry; ``config`` extends the recorder's own.  The events,
+        metrics and metadata members are always present.  The
         bundle is written to a temp file and atomically renamed, so a
         crash mid-dump never leaves a half-written archive behind.
         """
@@ -202,10 +168,13 @@ class FlightRecorder:
                 serial += 1
                 path = out_dir / f"{base}.{serial}.tar.gz"
 
+            events = self.events()
             events_text = "".join(
                 json.dumps(entry, default=str, separators=(",", ":")) + "\n"
-                for entry in self.events()
+                for entry in events
             )
+            if health is None:
+                health = _slo.evaluate_pack(_slo.DEFAULT_PACK).to_dict()
             metrics_text = _metrics.get_registry().to_prometheus()
             meta: Dict[str, Any] = {
                 "reason": reason,
@@ -214,8 +183,7 @@ class FlightRecorder:
                 ),
                 "pid": os.getpid(),
                 "platform": platform.platform(),
-                "n_events": self.n_recorded,
-                "n_ring_dropped": self.n_dropped,
+                "n_events": len(events),
                 "log_dropped": _log.get_logger().n_dropped,
                 "span_dropped": _trace.get_tracer().n_dropped,
             }
@@ -229,7 +197,7 @@ class FlightRecorder:
             members = [
                 ("events.jsonl", events_text),
                 ("metrics.prom", metrics_text),
-                ("health.json", json.dumps(dict(health or {}), indent=2, default=str)),
+                ("health.json", json.dumps(dict(health), indent=2, default=str)),
                 ("config.json", json.dumps(merged_config, indent=2, default=str)),
                 ("meta.json", json.dumps(meta, indent=2, default=str)),
             ]
@@ -256,56 +224,37 @@ _recorder = FlightRecorder()
 
 
 def flight_enabled() -> bool:
-    """Whether the flight recorder is currently capturing events."""
+    """Whether the flight recorder is armed (dumps write bundles)."""
     return _enabled
 
 
 def enable_flight(
     directory: Optional[Union[str, Path]] = None,
-    capacity: Optional[int] = None,
     config: Optional[Mapping[str, Any]] = None,
 ) -> FlightRecorder:
-    """Turn the flight recorder on; returns the active recorder.
+    """Arm the flight recorder; returns the active recorder.
 
-    ``capacity`` (when given) replaces the recorder with a fresh ring of
-    that size; ``directory`` sets where bundles land; ``config`` is
-    stored and included in every bundle's ``config.json``.  Enabling
-    installs the capture hooks into the tracer, the metric emission
-    helpers and the structured logger.
+    ``directory`` sets where bundles land; ``config`` is stored and
+    included in every bundle's ``config.json``.
     """
-    global _enabled, _recorder
-    if capacity is not None:
-        _recorder = FlightRecorder(capacity=capacity)
+    global _enabled
     if directory is not None:
         _recorder.directory = Path(directory)
     if config is not None:
         _recorder.config = dict(config)
-    _trace._flight_hook = _recorder._on_span
-    _metrics._flight_hook = _recorder._on_metric
-    _log._flight_hook = _recorder._on_log
     _enabled = True
     return _recorder
 
 
 def disable_flight() -> None:
-    """Turn the flight recorder off and uninstall its capture hooks."""
+    """Disarm the flight recorder: later dumps return ``None``."""
     global _enabled
-    _trace._flight_hook = None
-    _metrics._flight_hook = None
-    _log._flight_hook = None
     _enabled = False
 
 
 def get_flight() -> FlightRecorder:
     """The process-wide recorder (valid whether or not it is enabled)."""
     return _recorder
-
-
-def record(kind: str, **data: Any) -> None:
-    """Append one ad-hoc event to the ring — no-op while disabled."""
-    if not _enabled:
-        return
-    _recorder.record(kind, data)
 
 
 def dump(reason: str, **kwargs: Any) -> Optional[Path]:

@@ -82,10 +82,6 @@ _NAME_LEVELS["warning"] = WARN
 #: for the flight recorder's postmortem window).
 DEFAULT_CAPACITY = 4096
 
-#: Set by :mod:`repro.obs.flight` when the flight recorder is enabled;
-#: called with each emitted record dict.
-_flight_hook = None
-
 
 def parse_level(value: Union[int, str]) -> int:
     """Normalize a level given as an int or a name ("info", "WARN", ...)."""
@@ -182,18 +178,11 @@ class StructuredLogger:
                 except (OSError, ValueError):
                     self.n_sink_errors += 1
             self._changed.notify_all()
-        if _metrics.metrics_enabled():
-            # Registry access bypasses the module helper on purpose: the
-            # flight recorder already sees the log record itself, so the
-            # bookkeeping counter must not echo back as a metric delta.
-            _metrics.get_registry().counter(
-                "repro_log_records_total",
-                "Structured log records emitted",
-                level=level_name(level),
-            ).inc()
-        hook = _flight_hook
-        if hook is not None:
-            hook(record)
+        _metrics.inc(
+            "repro_log_records_total",
+            help="Structured log records emitted",
+            level=level_name(level),
+        )
         return record
 
     def debug(self, name: str, **fields: Any) -> Optional[Dict[str, Any]]:
@@ -246,9 +235,6 @@ class StructuredLogger:
                     except (OSError, ValueError):
                         self.n_sink_errors += 1
                 self._changed.notify_all()
-            hook = _flight_hook
-            if hook is not None:
-                hook(record)
             count += 1
         return count
 

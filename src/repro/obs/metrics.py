@@ -45,12 +45,6 @@ __all__ = [
 
 Number = Union[int, float]
 
-#: Set by :mod:`repro.obs.flight` when the flight recorder is enabled;
-#: called as ``hook(kind, name, value, labels)`` for each update made
-#: through the module-level emission helpers.  ``None`` costs one global
-#: read per enabled-mode update (nothing at all while disabled).
-_flight_hook = None
-
 #: Default histogram bucket upper bounds: half-decade steps covering
 #: microseconds-to-minutes timings and bytes-to-gigabytes sizes.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -465,9 +459,6 @@ def inc(name: str, amount: Number = 1, help: str = "", unit: str = "", **labels:
     if not _enabled:
         return
     _registry.counter(name, help, unit, **labels).inc(amount)
-    hook = _flight_hook
-    if hook is not None:
-        hook("counter", name, amount, labels)
 
 
 def set_gauge(name: str, value: Number, help: str = "", unit: str = "", **labels: str) -> None:
@@ -475,9 +466,6 @@ def set_gauge(name: str, value: Number, help: str = "", unit: str = "", **labels
     if not _enabled:
         return
     _registry.gauge(name, help, unit, **labels).set(value)
-    hook = _flight_hook
-    if hook is not None:
-        hook("gauge", name, value, labels)
 
 
 def observe(name: str, value: Number, help: str = "", unit: str = "", **labels: str) -> None:
@@ -485,6 +473,3 @@ def observe(name: str, value: Number, help: str = "", unit: str = "", **labels: 
     if not _enabled:
         return
     _registry.histogram(name, help, unit, **labels).observe(value)
-    hook = _flight_hook
-    if hook is not None:
-        hook("histogram", name, value, labels)

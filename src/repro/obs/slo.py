@@ -1,18 +1,31 @@
-"""Declarative SLO rules evaluated over the metrics catalog.
+"""Declarative SLO rules: the one engine that grades health.
 
 An :class:`SLORule` names a metric, an optional label ``selector``, a
 statistic (raw value, histogram quantile, or a ratio against a second
 metric), a comparison against a ``threshold``, and a ``severity``.  A
-*rule pack* is just a list of rules — loadable from JSON or TOML files,
-with :data:`DEFAULT_PACK` shipping sensible defaults for the serving
-stack (query p99, quarantine rate, checkpoint age).
+*rule pack* is just a list of rules — loadable from JSON or TOML files.
+Two packs ship:
+
+* :data:`DEFAULT_PACK` — the serving stack's objectives (query p99,
+  quarantine rate, checkpoint age) over the live metrics registry;
+* :data:`HEALTH_PACK` — the streaming miner's slow failure modes (leaf
+  entries, threshold escalation, rebuilds, quarantine rate, checkpoint
+  age), one warn and one crit rule per signal, evaluated over a plain
+  ``{metric: value}`` dict of the miner's readings so health works with
+  metrics off.
 
 Rules evaluate against any :class:`MetricsView`: a live
 :class:`~repro.obs.metrics.MetricsRegistry` (wrap with
-:func:`registry_view`) or a saved/scraped Prometheus text exposition
-(parse with :func:`parse_prometheus`), so the same pack gates a running
-server's ``/healthz``, the dashboard's SLO panel, and a CI job reading a
-``metrics.prom`` artifact via ``repro slo check``.
+:func:`registry_view`), a saved/scraped Prometheus text exposition
+(parse with :func:`parse_prometheus`), or a readings dict, so the same
+engine gates a running server's ``/healthz``, the dashboard's SLO panel,
+a CI job reading a ``metrics.prom`` artifact via ``repro slo check``,
+and ``StreamingDARMiner.health()``.
+
+:meth:`SLOReport.to_health_report` turns verdicts into the one health
+row type, :class:`HealthCheck` (``ok`` / ``warn`` / ``crit``), inside a
+:class:`HealthReport` that publishes ``repro_health_level{check=...}``
+gauges when metrics are on.
 
 A missing metric is not automatically a violation: each rule's
 ``absent`` policy says whether absence means ``skip`` (default — the
@@ -20,9 +33,8 @@ subsystem never ran), ``ok``, or ``violate``.
 
 Example pack entry (JSON)::
 
-    {"name": "quarantine_rate", "metric": "repro_quarantined_rows_total",
-     "stat": "ratio", "denominator": "repro_rows_ok_total",
-     "op": "<=", "threshold": 0.05, "severity": "warn"}
+    {"name": "serve_query_p99_seconds", "metric": "repro_serve_query_seconds",
+     "stat": "p99", "op": "<=", "threshold": 0.5, "severity": "crit"}
 """
 
 from __future__ import annotations
@@ -34,10 +46,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs.health import HealthCheck, HealthReport
+from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
+    "OK",
+    "WARN",
+    "CRIT",
+    "HealthCheck",
+    "HealthReport",
     "SLORule",
     "SLOResult",
     "SLOReport",
@@ -48,6 +65,7 @@ __all__ = [
     "load_pack",
     "default_pack",
     "DEFAULT_PACK",
+    "HEALTH_PACK",
 ]
 
 _STATS = ("value", "sum", "max", "min", "count", "mean", "p50", "p90", "p99", "ratio")
@@ -55,7 +73,95 @@ _OPS = ("<", "<=", ">", ">=", "==", "!=")
 _SEVERITIES = ("warn", "crit")
 _ABSENT = ("skip", "ok", "violate")
 
-_STATUS_ORDER = {"ok": 0, "skip": 0, "warn": 1, "crit": 2}
+#: Health statuses, ordered by severity (the value is the gauge level).
+OK = "ok"
+WARN = "warn"
+CRIT = "crit"
+
+_LEVELS = {OK: 0, WARN: 1, CRIT: 2}
+_STATUS_ORDER = {**_LEVELS, "skip": 0}
+
+
+@dataclass(frozen=True)
+class HealthCheck:
+    """One named signal's reading and classification."""
+
+    name: str
+    status: str
+    value: float
+    detail: str = ""
+
+    @property
+    def level(self) -> int:
+        """Numeric severity: 0=ok, 1=warn, 2=crit (the exported gauge)."""
+        return _LEVELS[self.status]
+
+    def describe(self) -> str:
+        """One report line, e.g. ``quarantine_rate: WARN (0.02) ...``."""
+        text = f"{self.name}: {self.status.upper()} ({self.value:.6g})"
+        return f"{text} — {self.detail}" if self.detail else text
+
+
+@dataclass
+class HealthReport:
+    """All checks from one evaluation, plus the worst overall status."""
+
+    checks: List[HealthCheck] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        """Worst status across checks (``ok`` for an empty report)."""
+        worst = OK
+        for check in self.checks:
+            if check.level > _LEVELS[worst]:
+                worst = check.status
+        return worst
+
+    @property
+    def problems(self) -> List[HealthCheck]:
+        """The non-``ok`` checks, worst first."""
+        flagged = [c for c in self.checks if c.status != OK]
+        return sorted(flagged, key=lambda c: -c.level)
+
+    def describe(self) -> str:
+        """Multi-line report: overall status, then one line per check."""
+        lines = [f"health: {self.status.upper()}"]
+        lines.extend(f"  {check.describe()}" for check in self.checks)
+        return "\n".join(lines)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain built-ins for JSON export and the dashboard."""
+        return {
+            "status": self.status,
+            "checks": [
+                {
+                    "name": c.name,
+                    "status": c.status,
+                    "level": c.level,
+                    "value": c.value,
+                    "detail": c.detail,
+                }
+                for c in self.checks
+            ],
+        }
+
+    def publish(self) -> None:
+        """Export every check as a ``repro_health_level{check=}`` gauge.
+
+        No-op while metrics are disabled, like every emission helper.
+        """
+        for check in self.checks:
+            obs_metrics.set_gauge(
+                "repro_health_level",
+                check.level,
+                help="Health check severity (0=ok, 1=warn, 2=crit)",
+                check=check.name,
+            )
+        obs_metrics.set_gauge(
+            "repro_health_worst_level",
+            _LEVELS[self.status],
+            help="Worst health check severity (0=ok, 1=warn, 2=crit)",
+        )
 
 
 @dataclass(frozen=True)
@@ -205,9 +311,9 @@ class SLOReport:
     @property
     def status(self) -> str:
         """Worst status across all rules: ok < warn < crit."""
-        worst = "ok"
+        worst = OK
         for result in self.results:
-            if _STATUS_ORDER.get(result.status, 0) > _STATUS_ORDER[worst]:
+            if _STATUS_ORDER[result.status] > _STATUS_ORDER[worst]:
                 worst = result.status
         return worst
 
@@ -222,24 +328,43 @@ class SLOReport:
             "results": [result.to_dict() for result in self.results],
         }
 
-    def to_health_checks(self) -> List[HealthCheck]:
-        """The verdicts as health rows (``slo:<rule>``), for /healthz."""
-        checks = []
+    def to_health_checks(
+        self, prefix: str = "slo:", skipped: bool = True
+    ) -> List[HealthCheck]:
+        """The verdicts as health rows named ``<prefix><rule>``.
+
+        Rules that share a name (one signal's warn and crit rules) fold
+        into one row showing the worse verdict.  A skipped rule reads
+        ``ok``; with ``skipped=False`` it has no row at all (a signal
+        with no reading, like checkpoint age on a run that never
+        checkpoints).
+        """
+        by_name: Dict[str, List[SLOResult]] = {}
         for result in self.results:
-            status = "ok" if result.status in ("ok", "skip") else result.status
+            by_name.setdefault(result.rule.name, []).append(result)
+        checks = []
+        for name, results in by_name.items():
+            worst = max(results, key=lambda r: _STATUS_ORDER[r.status])
+            if worst.status == "skip" and not skipped:
+                continue
+            detail = "; ".join(
+                part for part in (worst.rule.description, worst.detail) if part
+            )
             checks.append(
                 HealthCheck(
-                    name=f"slo:{result.rule.name}",
-                    status=status,
-                    value=float("nan") if result.value is None else result.value,
-                    detail=result.detail or result.describe(),
+                    name=prefix + name,
+                    status=OK if worst.status == "skip" else worst.status,
+                    value=float("nan") if worst.value is None else worst.value,
+                    detail=detail or worst.describe(),
                 )
             )
         return checks
 
-    def to_health_report(self) -> HealthReport:
-        """The verdicts wrapped as a standalone :class:`HealthReport`."""
-        return HealthReport(checks=self.to_health_checks())
+    def to_health_report(
+        self, prefix: str = "slo:", skipped: bool = True
+    ) -> HealthReport:
+        """The verdicts wrapped as a :class:`HealthReport`."""
+        return HealthReport(checks=self.to_health_checks(prefix, skipped))
 
     def describe(self) -> str:
         """One verdict line per rule plus a worst-status footer."""
@@ -492,15 +617,20 @@ def _evaluate_rule(rule: SLORule, view: MetricsView) -> SLOResult:
 
 def evaluate_pack(
     rules: Sequence[SLORule],
-    view: Union[MetricsView, MetricsRegistry, None] = None,
+    view: Union[MetricsView, MetricsRegistry, Mapping[str, float], None] = None,
 ) -> SLOReport:
     """Evaluate every rule against ``view`` and return the report.
 
     ``view`` may be a :class:`MetricsView`, a raw
-    :class:`MetricsRegistry`, or ``None`` for the process registry.
+    :class:`MetricsRegistry`, ``None`` for the process registry, or a
+    plain ``{metric: value}`` dict of unlabelled readings.
     """
     if view is None or isinstance(view, MetricsRegistry):
         view = registry_view(view)
+    elif isinstance(view, Mapping):
+        view = _PromView(
+            {metric: [({}, float(value))] for metric, value in view.items()}
+        )
     return SLOReport([_evaluate_rule(rule, view) for rule in rules])
 
 
@@ -508,9 +638,9 @@ def evaluate_pack(
 # Packs: defaults plus JSON/TOML loading
 # ----------------------------------------------------------------------
 
-#: The shipped defaults: one rule per serving-stack failure mode the
-#: metric catalog can already see.  All use ``absent="skip"`` so the
-#: pack passes cleanly for deployments that never exercised a subsystem.
+#: The shipped serving defaults: one rule per failure mode the metric
+#: catalog can already see.  All use ``absent="skip"`` so the pack passes
+#: cleanly for deployments that never exercised a subsystem.
 DEFAULT_PACK: Tuple[SLORule, ...] = (
     SLORule(
         name="serve_query_p99_seconds",
@@ -528,10 +658,11 @@ DEFAULT_PACK: Tuple[SLORule, ...] = (
         stat="ratio",
         denominator="repro_rows_ok_total",
         op="<=",
-        threshold=0.05,
+        # quarantined <= ok / 19  <=>  quarantined <= 5% of rows seen.
+        threshold=1 / 19,
         severity="warn",
         window_seconds=3600.0,
-        description="Quarantined rows stay under 5% of accepted rows",
+        description="Quarantined rows stay at or under 5% of rows seen",
     ),
     SLORule(
         name="checkpoint_age_ok",
@@ -543,6 +674,53 @@ DEFAULT_PACK: Tuple[SLORule, ...] = (
         severity="warn",
         window_seconds=3600.0,
         description="Checkpoint age has not reached CRIT in the health report",
+    ),
+)
+
+
+def _signal(
+    name: str, metric: str, warn: float, crit: float, description: str, **extra: Any
+) -> List[SLORule]:
+    """One health signal's warn and crit rules: each holds below its bound."""
+    return [
+        SLORule(
+            name=name, metric=metric, threshold=bound, op="<",
+            severity=severity, description=description, **extra,
+        )
+        for severity, bound in (("warn", warn), ("crit", crit))
+    ]
+
+
+#: The streaming miner's health signals, evaluated by
+#: ``StreamingDARMiner.health()`` and ``repro mine --stats`` over a dict
+#: of readings.  The bands suit the library's own workloads: trees under
+#: memory budgets hold hundreds-to-thousands of leaf entries, the
+#: quarantine crit band is the CLI's default 5% error budget, and the
+#: checkpoint-age bands assume a cadence of minutes, not hours.  Checkpoint
+#: age is only read while checkpointing; without it the row is skipped.
+HEALTH_PACK: Tuple[SLORule, ...] = (
+    *_signal(
+        "leaf_entries", "repro_phase1_entry_count", 10_000, 50_000,
+        "leaf entries summed over every partition's tree",
+    ),
+    *_signal(
+        "threshold_escalation", "repro_phase1_threshold_inflation", 4.0, 32.0,
+        "density threshold inflation vs the first batch "
+        "(memory-pressure rebuilds coarsen summaries)",
+        stat="max",
+    ),
+    *_signal(
+        "rebuilds", "repro_phase1_rebuilds_total", 5, 25,
+        "tree rebuilds across partitions",
+    ),
+    *_signal(
+        "quarantine_rate", "repro_quarantined_rows_total", 0.01, 0.05,
+        "share of rows seen that were quarantined",
+        stat="ratio", denominator="repro_rows_seen_total",
+    ),
+    *_signal(
+        "checkpoint_age", "repro_checkpoint_age_seconds", 300.0, 1800.0,
+        "seconds since the last successful checkpoint",
     ),
 )
 

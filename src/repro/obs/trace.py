@@ -51,11 +51,6 @@ __all__ = [
     "current_trace_id",
 ]
 
-#: Set by :mod:`repro.obs.flight` when the flight recorder is enabled;
-#: called with each finished :class:`Span`.  ``None`` costs one global
-#: read per span close.
-_flight_hook = None
-
 #: Default ring-buffer capacity: old spans are dropped once this many
 #: finished spans are held.  Generous for whole mines (a streaming run
 #: emits a handful of spans per batch), tiny in memory (~1KB/span).
@@ -260,9 +255,6 @@ class Tracer:
             if len(self._buffer) == self.capacity:
                 self._dropped += 1
             self._buffer.append(record)
-        hook = _flight_hook
-        if hook is not None:
-            hook(record)
 
     def ingest(
         self,

@@ -409,7 +409,7 @@ def render_run_report(
     ``spans`` accepts :class:`~repro.obs.trace.Span` objects or their
     ``to_dict`` rows; ``metrics`` is a registry
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; ``health`` a
-    :meth:`~repro.obs.health.HealthReport.to_dict`; ``slo`` an
+    :meth:`~repro.obs.slo.HealthReport.to_dict`; ``slo`` an
     :meth:`~repro.obs.slo.SLOReport.to_dict`; ``metadata`` free-form
     key/value pairs for the header card.  Every argument is optional —
     missing sections render an explanatory placeholder, never an error.

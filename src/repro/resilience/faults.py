@@ -179,13 +179,14 @@ class FaultPlan:
             time.sleep(self.delay_seconds)
             return
         error = InjectedFault(f"{point}: {self.message} (hit {self.hits})")
-        # Let the flight recorder see the trip (and cut a postmortem
-        # bundle) while the pre-crash ring is still intact.  Imported
-        # lazily: faults must stay importable with zero repro.obs cost.
+        # Log the trip and cut a postmortem bundle while the pre-crash
+        # rings are still intact.  Imported lazily: faults must stay
+        # importable with zero repro.obs cost.
         from repro.obs import flight as obs_flight
+        from repro.obs import log as obs_log
 
-        obs_flight.record(
-            "fault", point=point, hits=self.hits, trips=self.trips
+        obs_log.warn(
+            "fault.trip", point=point, hits=self.hits, trips=self.trips
         )
         obs_flight.dump_on_error(f"fault-{point}", error)
         raise error

@@ -349,7 +349,7 @@ def _make_handler(server: RuleServer):
             )
 
         def _handle_healthz(self) -> None:
-            from repro.obs.health import HealthReport
+            from repro.obs.slo import HealthReport
 
             report = server.publisher.health()
             slo_report = server.slo_report()

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.obs.health import CRIT, OK, WARN, HealthCheck, HealthReport
+from repro.obs.slo import CRIT, OK, WARN, HealthCheck, HealthReport
 from repro.resilience import faults
 from repro.serve.query import QueryAnswer, QueryEngine, RuleQuery
 from repro.serve.snapshot import RuleSnapshot, compile_snapshot
@@ -252,7 +252,7 @@ class SnapshotPublisher:
         return max(0.0, self._clock() - self._published_at)
 
     def health(self) -> HealthReport:
-        """A serve-side :class:`~repro.obs.health.HealthReport`.
+        """A serve-side :class:`~repro.obs.slo.HealthReport`.
 
         ``snapshot_published`` is the only gating check (CRIT while
         nothing is served — the ``/healthz`` 503 condition).  With a

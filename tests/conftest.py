@@ -13,8 +13,8 @@ from repro.data.synthetic import make_clustered_relation, make_planted_rule_rela
 def _reset_obs():
     """Keep observability state from leaking between tests.
 
-    Any test may enable tracing/metrics/profiling/logging or arm the
-    flight recorder; this disables every layer and clears its recorder
+    Any test may enable tracing/metrics/logging or arm the flight
+    recorder; this disables every layer and clears its recorder
     afterwards so ordering never matters.
     """
     yield
@@ -24,14 +24,12 @@ def _reset_obs():
 
     obs.disable()
     obs.disable_flight()
-    obs.get_flight().clear()
     obs.get_registry().reset()
     if obs.get_tracer().capacity != trace.DEFAULT_CAPACITY:
         # A test shrank the ring buffer; later tests expect the default.
         trace.enable_tracing(capacity=trace.DEFAULT_CAPACITY)
         trace.disable_tracing()
     obs.get_tracer().clear()
-    obs.reset_profiles()
     # Rebuild the logger (closing any file sink a test attached) and
     # leave it disabled with the default configuration.
     obs_log.enable_logging(

@@ -1,4 +1,4 @@
-"""Flight recorder: ring capture, overflow, postmortem bundles, dedup."""
+"""Flight recorder: the window from the tracer and logger rings, bundles, dedup."""
 
 from __future__ import annotations
 
@@ -17,14 +17,24 @@ from repro.obs.trace import span
 
 @pytest.fixture
 def recorder(tmp_path):
-    active = flight.enable_flight(directory=tmp_path, capacity=64)
-    active.clear()
+    active = flight.enable_flight(directory=tmp_path, config={})
+    active.n_dumps = 0
+    trace.get_tracer().clear()
+    log.get_logger().clear()
     yield active
     flight.disable_flight()
 
 
+def bundle_events(path):
+    with tarfile.open(path) as archive:
+        text = archive.extractfile("events.jsonl").read().decode()
+    return [json.loads(line) for line in text.splitlines()]
+
+
 class TestRingCapture:
     def test_hooks_capture_log_span_and_metric(self, recorder):
+        # The window is cut from the tracer and logger rings; metric
+        # values travel in metrics.prom, not as events.
         log.enable_logging(level=log.DEBUG)
         trace.enable_tracing()
         metrics.enable_metrics().reset()
@@ -32,49 +42,66 @@ class TestRingCapture:
         with span("work"):
             pass
         metrics.inc("repro_test_total")
-        kinds = [entry["kind"] for entry in recorder.events()]
+        events = bundle_events(flight.dump("window"))
+        kinds = [entry["kind"] for entry in events]
         assert "log" in kinds
         assert "span" in kinds
-        assert "metric" in kinds
+        assert set(kinds) == {"log", "span"}
+        (work,) = [e for e in events if e["kind"] == "span"]
+        assert work["data"]["name"] == "work"
+        assert {"span_id", "parent_id", "trace_id", "seconds", "attributes"} <= set(
+            work["data"]
+        )
+        stamps = [entry["ts"] for entry in events]
+        assert stamps == sorted(stamps)
 
     def test_disable_uninstalls_hooks(self, recorder):
+        # No layer carries a recorder hook any more: disarming only stops
+        # dumps, and the rings keep recording on their own switches.
+        for module in (trace, log, metrics):
+            assert not hasattr(module, "_flight_hook")
         log.enable_logging(level=log.DEBUG)
         flight.disable_flight()
-        before = len(recorder.events())
         log.info("after.disable")
-        assert len(recorder.events()) == before
+        assert log.get_logger().records()[-1]["event"] == "after.disable"
+        assert flight.dump("disarmed") is None
 
     def test_explicit_record_respects_enable_gate(self, recorder):
-        flight.record("checkpoint", step=3)
-        assert recorder.events()[-1]["data"] == {"step": 3}
-        flight.disable_flight()
-        flight.record("ignored")
-        assert recorder.events()[-1]["data"] == {"step": 3}
+        # An explicit event is a log record; it reaches a bundle only
+        # while logging is on.
+        log.info("checkpoint", step=3)
+        assert recorder.events() == []
+        log.enable_logging(level=log.DEBUG)
+        log.info("checkpoint", step=3)
+        (event,) = bundle_events(flight.dump("gate"))
+        assert event["kind"] == "log"
+        assert event["data"]["step"] == 3
 
-    def test_overflow_keeps_newest_and_counts_drops(self):
-        # Mirrors the tracer's ring-overflow contract: far more events
-        # than capacity; eviction is oldest-first and fully accounted.
-        recorder = flight.FlightRecorder(capacity=8)
+    def test_overflow_keeps_newest_and_counts_drops(self, recorder):
+        # Far more records than the logger ring holds: the window keeps
+        # the newest, and meta.json accounts for every eviction.
+        log.enable_logging(level=log.DEBUG, capacity=8)
         for i in range(50):
-            recorder.record("tick", {"i": i})
-        events = recorder.events()
-        assert len(events) == 8
+            log.info("tick", i=i)
+        path = flight.dump("overflow")
+        events = bundle_events(path)
         assert [entry["data"]["i"] for entry in events] == list(range(42, 50))
-        assert recorder.n_recorded == 50
-        assert recorder.n_dropped == 42
+        with tarfile.open(path) as archive:
+            meta = json.loads(archive.extractfile("meta.json").read())
+        assert meta["n_events"] == 8
+        assert meta["log_dropped"] == 42
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            flight.FlightRecorder(capacity=0)
+            trace.Tracer(capacity=0)
+        with pytest.raises(ValueError):
+            log.StructuredLogger(capacity=0)
 
-    def test_threaded_recording_is_bounded_and_complete(self):
-        recorder = flight.FlightRecorder(capacity=16)
+    def test_threaded_recording_is_bounded_and_complete(self, recorder):
+        logger = log.enable_logging(level=log.DEBUG, capacity=16)
         threads = [
             threading.Thread(
-                target=lambda t=t: [
-                    recorder.record("hammer", {"t": t, "i": i})
-                    for i in range(100)
-                ]
+                target=lambda t=t: [log.info("hammer", t=t, i=i) for i in range(100)]
             )
             for t in range(4)
         ]
@@ -82,9 +109,9 @@ class TestRingCapture:
             thread.start()
         for thread in threads:
             thread.join()
-        assert recorder.n_recorded == 400
+        assert logger.n_emitted == 400
         assert len(recorder.events()) == 16
-        assert recorder.n_dropped == 400 - 16
+        assert logger.n_dropped == 400 - 16
 
 
 class TestBundles:
@@ -98,7 +125,8 @@ class TestBundles:
     def test_dump_writes_all_members(self, recorder, tmp_path):
         metrics.enable_metrics().reset()
         metrics.inc("repro_test_total", help="t")
-        flight.record("note", what="pre-crash")
+        log.enable_logging(level=log.DEBUG)
+        log.info("note", what="pre-crash")
         path = flight.dump("unit-test", health={"status": "ok"})
         assert path is not None and path.parent == tmp_path
         bundle = self._open(path)
@@ -109,11 +137,22 @@ class TestBundles:
         (event_line,) = [
             json.loads(line)
             for line in bundle["events.jsonl"].splitlines()
-            if json.loads(line)["kind"] == "note"
+            if json.loads(line)["data"].get("event") == "note"
         ]
+        assert event_line["kind"] == "log"
         assert event_line["data"]["what"] == "pre-crash"
         assert "repro_test_total" in bundle["metrics.prom"]
         assert json.loads(bundle["health.json"])["status"] == "ok"
+
+    def test_health_defaults_to_the_default_pack_verdicts(self, recorder):
+        metrics.enable_metrics().reset()
+        metrics.inc("repro_quarantined_rows_total", 6)
+        metrics.inc("repro_rows_ok_total", 94)
+        health = json.loads(self._open(flight.dump("no-health"))["health.json"])
+        assert health["status"] == "warn"
+        rows = {row["rule"]: row for row in health["results"]}
+        assert rows["quarantine_rate"]["status"] == "warn"
+        assert rows["serve_query_p99_seconds"]["status"] == "skip"
 
     def test_meta_names_the_build_and_reason(self, recorder):
         path = flight.dump("why not")

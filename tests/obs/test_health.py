@@ -1,4 +1,4 @@
-"""Tests for repro.obs.health: grading, reports, gauges, live miner wiring."""
+"""Tests for health grading: the HEALTH_PACK rules, reports, gauges, miner wiring."""
 
 import pytest
 
@@ -7,32 +7,45 @@ from repro.core.config import DARConfig
 from repro.core.streaming import StreamingDARMiner
 from repro.data.relation import default_partitions
 from repro.data.synthetic import make_clustered_relation
-from repro.obs.health import (
+from repro.obs.slo import (
     CRIT,
+    HEALTH_PACK,
     OK,
     WARN,
     HealthCheck,
-    HealthMonitor,
     HealthReport,
-    HealthThresholds,
+    SLORule,
+    evaluate_pack,
+    parse_prometheus,
 )
 
 
 def healthy_readings(**overrides):
-    readings = dict(
-        leaf_entries={"a": 100, "b": 50},
-        threshold_inflation={"a": 1.0, "b": 1.5},
-        rebuilds={"a": 0, "b": 0},
-        rows_seen=1_000,
-        rows_quarantined=0,
-    )
+    readings = {
+        "repro_phase1_entry_count": 150,
+        "repro_phase1_threshold_inflation": 1.5,
+        "repro_phase1_rebuilds_total": 0,
+        "repro_quarantined_rows_total": 0,
+        "repro_rows_seen_total": 1_000,
+    }
     readings.update(overrides)
     return readings
 
 
+def grade(view, rules=HEALTH_PACK) -> HealthReport:
+    return evaluate_pack(rules, view).to_health_report(prefix="", skipped=False)
+
+
+def by_partition(metric, values):
+    """Prometheus text with one ``partition``-labelled sample per value."""
+    return "".join(
+        f'{metric}{{partition="{name}"}} {value}\n' for name, value in values.items()
+    )
+
+
 class TestGrading:
     def test_all_green(self):
-        report = HealthMonitor().evaluate(**healthy_readings())
+        report = grade(healthy_readings())
         assert report.status == OK
         assert report.problems == []
         assert [c.name for c in report.checks] == [
@@ -43,54 +56,73 @@ class TestGrading:
         ]
 
     def test_leaf_entries_sum_across_partitions(self):
-        report = HealthMonitor().evaluate(
-            **healthy_readings(leaf_entries={"a": 6_000, "b": 6_000})
+        report = grade(
+            parse_prometheus(
+                by_partition("repro_phase1_entry_count", {"a": 6_000, "b": 6_000})
+            )
         )
-        check = report.checks[0]
+        (check,) = report.checks
+        assert check.name == "leaf_entries"
         assert check.status == WARN
         assert check.value == 12_000
-        assert "largest partition" in check.detail
+        assert "leaf entries" in check.detail
+        assert "violates < 10000" in check.detail
 
     def test_threshold_escalation_uses_worst_partition(self):
-        report = HealthMonitor().evaluate(
-            **healthy_readings(threshold_inflation={"a": 1.0, "b": 40.0})
+        report = grade(
+            parse_prometheus(
+                by_partition(
+                    "repro_phase1_threshold_inflation", {"a": 1.0, "b": 40.0}
+                )
+            )
         )
-        assert report.checks[1].status == CRIT
+        (check,) = report.checks
+        assert check.name == "threshold_escalation"
+        assert check.status == CRIT
+        assert check.value == 40.0
 
     def test_quarantine_rate_bands(self):
-        monitor = HealthMonitor()
-        warn = monitor.evaluate(
-            **healthy_readings(rows_seen=1_000, rows_quarantined=20)
-        )
+        warn = grade(healthy_readings(repro_quarantined_rows_total=20))
         assert warn.checks[3].status == WARN
-        crit = monitor.evaluate(
-            **healthy_readings(rows_seen=1_000, rows_quarantined=60)
-        )
+        assert warn.checks[3].value == 0.02
+        crit = grade(healthy_readings(repro_quarantined_rows_total=60))
         assert crit.checks[3].status == CRIT
 
     def test_zero_rows_seen_is_ok(self):
-        report = HealthMonitor().evaluate(
-            **healthy_readings(rows_seen=0, rows_quarantined=0)
-        )
+        report = grade(healthy_readings(repro_rows_seen_total=0))
         assert report.checks[3].status == OK
+        assert report.checks[3].value == 0.0
 
     def test_checkpoint_age_only_when_checkpointing(self):
-        off = HealthMonitor().evaluate(**healthy_readings())
+        off = grade(healthy_readings())
         assert all(c.name != "checkpoint_age" for c in off.checks)
-        on = HealthMonitor().evaluate(
-            **healthy_readings(),
-            checkpointing=True,
-            checkpoint_age_seconds=2_000.0,
-        )
+        on = grade(healthy_readings(repro_checkpoint_age_seconds=2_000.0))
         assert on.checks[-1].name == "checkpoint_age"
         assert on.checks[-1].status == CRIT
 
     def test_custom_thresholds(self):
-        tight = HealthThresholds(rebuilds_warn=1, rebuilds_crit=2)
-        report = HealthMonitor(tight).evaluate(
-            **healthy_readings(rebuilds={"a": 1})
-        )
-        assert report.checks[2].status == WARN
+        tight = [
+            SLORule("rebuilds", "repro_phase1_rebuilds_total", 1, op="<",
+                    severity="warn"),
+            SLORule("rebuilds", "repro_phase1_rebuilds_total", 2, op="<",
+                    severity="crit"),
+        ]
+        report = grade(healthy_readings(repro_phase1_rebuilds_total=1), tight)
+        assert [(c.name, c.status) for c in report.checks] == [("rebuilds", WARN)]
+
+    def test_every_signal_has_a_warn_and_a_crit_rule(self):
+        names = {rule.name for rule in HEALTH_PACK}
+        for name in names:
+            rules = [rule for rule in HEALTH_PACK if rule.name == name]
+            assert sorted(rule.severity for rule in rules) == ["crit", "warn"]
+            assert len({rule.metric for rule in rules}) == 1
+
+    def test_bands_trip_at_the_bound(self):
+        # A reading equal to a bound trips it: warn at 10,000 entries.
+        at = grade(healthy_readings(repro_phase1_entry_count=10_000))
+        below = grade(healthy_readings(repro_phase1_entry_count=9_999))
+        assert at.checks[0].status == WARN
+        assert below.checks[0].status == OK
 
 
 class TestReport:
@@ -107,19 +139,25 @@ class TestReport:
         assert HealthReport().status == OK
 
     def test_describe_and_to_dict(self):
-        report = HealthMonitor().evaluate(**healthy_readings())
+        report = grade(healthy_readings(repro_quarantined_rows_total=20))
         text = report.describe()
-        assert text.startswith("health: OK")
+        assert text.startswith("health: WARN")
         assert "quarantine_rate" in text
         state = report.to_dict()
-        assert state["status"] == OK
-        assert state["checks"][0]["level"] == 0
+        assert state["status"] == WARN
+        assert [
+            (row["name"], row["status"], row["level"], row["value"])
+            for row in state["checks"]
+        ] == [
+            ("leaf_entries", OK, 0, 150.0),
+            ("threshold_escalation", OK, 0, 1.5),
+            ("rebuilds", OK, 0, 0.0),
+            ("quarantine_rate", WARN, 1, 0.02),
+        ]
 
     def test_publish_exports_gauges(self):
         obs.enable(trace=False, metrics=True)
-        report = HealthMonitor().evaluate(
-            **healthy_readings(rows_seen=1_000, rows_quarantined=60)
-        )
+        report = grade(healthy_readings(repro_quarantined_rows_total=60))
         report.publish()
         registry = obs.get_registry()
         assert registry.value("repro_health_level", check="quarantine_rate") == 2
@@ -127,7 +165,7 @@ class TestReport:
         assert registry.value("repro_health_worst_level") == 2
 
     def test_publish_is_noop_when_disabled(self):
-        report = HealthMonitor().evaluate(**healthy_readings())
+        report = grade(healthy_readings())
         report.publish()
         assert len(obs.get_registry()) == 0
 
@@ -170,8 +208,14 @@ class TestStreamingMinerHealth:
         assert ages[0].value < 60
 
     def test_custom_thresholds_flow_through(self):
-        tight = HealthThresholds(leaf_entries_warn=1, leaf_entries_crit=2)
-        report = self.build_miner().health(tight)
+        tight = [
+            SLORule("leaf_entries", "repro_phase1_entry_count", 1, op="<",
+                    severity="warn"),
+            SLORule("leaf_entries", "repro_phase1_entry_count", 2, op="<",
+                    severity="crit"),
+        ]
+        report = self.build_miner().health(rules=tight)
+        assert report.checks[0].name == "leaf_entries"
         assert report.checks[0].status == CRIT
 
     def test_update_publishes_health_gauges(self):

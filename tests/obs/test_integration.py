@@ -180,4 +180,3 @@ class TestDisabledModeEmitsNothing:
         guarded_mine(relation)
         assert obs.get_tracer().spans() == []
         assert len(obs.get_registry()) == 0
-        assert obs.profiles() == {}

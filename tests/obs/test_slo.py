@@ -208,6 +208,22 @@ class TestDefaultPack:
         assert violation.rule.name == "serve_query_p99_seconds"
 
 
+    @pytest.mark.parametrize("source", ["registry", "prometheus"])
+    @pytest.mark.parametrize("bad, status", [(5, "ok"), (6, "warn")])
+    def test_quarantine_rate_is_a_share_of_rows_seen(self, source, bad, status):
+        # 5% of the rows seen is the budget: 5 bad of 100 passes, 6 warns.
+        registry = MetricsRegistry()
+        registry.counter("repro_quarantined_rows_total").inc(bad)
+        registry.counter("repro_rows_ok_total").inc(100 - bad)
+        view = (
+            registry if source == "registry"
+            else slo.parse_prometheus(registry.to_prometheus())
+        )
+        report = slo.evaluate_pack(slo.default_pack(), view)
+        (result,) = [r for r in report.results if r.rule.name == "quarantine_rate"]
+        assert result.status == status
+
+
 class TestPromParity:
     def test_prom_text_and_registry_agree(self):
         registry = make_registry()

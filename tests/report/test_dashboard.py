@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.api import mine
 from repro.data.synthetic import make_planted_rule_relation
-from repro.obs.health import HealthMonitor
+from repro.obs.slo import HEALTH_PACK, evaluate_pack
 from repro.obs.trace import span
 from repro.report.dashboard import (
     render_run_report,
@@ -76,9 +76,16 @@ def mined():
 @pytest.fixture(scope="module")
 def run_report(mined):
     result, spans, metrics = mined
-    health = HealthMonitor().evaluate(
-        leaf_entries={"a": 12}, rows_seen=100, rows_quarantined=3
-    )
+    health = evaluate_pack(
+        HEALTH_PACK,
+        {
+            "repro_phase1_entry_count": 12,
+            "repro_phase1_threshold_inflation": 1.0,
+            "repro_phase1_rebuilds_total": 0,
+            "repro_quarantined_rows_total": 3,
+            "repro_rows_seen_total": 100,
+        },
+    ).to_health_report(prefix="", skipped=False)
     return render_run_report(
         title="repro mine — demo",
         result=result,

@@ -505,11 +505,11 @@ class TestObservabilityFlags:
         ]
         assert any(row["name"] == "cli.mine" for row in rows)
 
-    def test_profile_report_printed(self, clustered_csv, capsys):
-        assert main(["mine", clustered_csv, "--profile"]) == 0
-        err = capsys.readouterr().err
-        assert "# profile" in err
-        assert "phase1.insert_batch" in err
+    def test_profile_flag_is_gone(self, clustered_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mine", clustered_csv, "--profile"])
+        assert exit_info.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_json_stays_parseable_with_metrics(self, clustered_csv, capsys):
         import json
@@ -683,6 +683,63 @@ class TestSnapshotCommand:
         assert main(["snapshot", str(checkpoint), "--out", str(out)]) == 0
         assert f"{len(miner.rules().rules)} rules" in capsys.readouterr().out
 
+    @pytest.fixture
+    def checkpoint(self, planted_csv, tmp_path):
+        from repro.core.config import DARConfig
+        from repro.core.streaming import StreamingDARMiner
+        from repro.data.relation import default_partitions
+
+        relation = load_csv(planted_csv)
+        miner = StreamingDARMiner(default_partitions(relation.schema), DARConfig())
+        miner.update(relation)
+        path = tmp_path / "stream.ckpt"
+        miner.save_checkpoint(path)
+        return str(path)
+
+    def _refused(self, checkpoint, tmp_path, capsys, *flags):
+        out = tmp_path / "rules.snap"
+        assert main(["snapshot", checkpoint, "--out", str(out), *flags]) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_checkpoint_source_refuses_count_support(
+        self, checkpoint, tmp_path, capsys
+    ):
+        err = self._refused(checkpoint, tmp_path, capsys, "--count-support")
+        assert "--count-support" in err
+        assert "CSV sources only" in err
+
+    def test_checkpoint_source_refuses_target(self, checkpoint, tmp_path, capsys):
+        err = self._refused(checkpoint, tmp_path, capsys, "--target", "a1")
+        assert "--target" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--frequency", "--density-fraction", "--degree-factor"]
+    )
+    def test_checkpoint_source_refuses_thresholds(
+        self, checkpoint, tmp_path, capsys, flag
+    ):
+        err = self._refused(checkpoint, tmp_path, capsys, flag, "0.5")
+        assert flag in err
+
+    def test_checkpoint_source_refuses_metric(self, checkpoint, tmp_path, capsys):
+        err = self._refused(checkpoint, tmp_path, capsys, "--metric", "d1")
+        assert "--metric" in err
+
+    def test_csv_source_keeps_the_default_thresholds(
+        self, planted_csv, tmp_path, capsys
+    ):
+        bare = tmp_path / "bare.snap"
+        explicit = tmp_path / "explicit.snap"
+        assert main(["snapshot", planted_csv, "--out", str(bare)]) == 0
+        assert main([
+            "snapshot", planted_csv, "--out", str(explicit),
+            "--frequency", "0.03", "--density-fraction", "0.15",
+            "--degree-factor", "2.0", "--metric", "d2",
+        ]) == 0
+        banners = capsys.readouterr().out.splitlines()
+        assert banners[0].split(" -> ")[0] == banners[1].split(" -> ")[0]
+
     def test_bad_out_path(self, planted_csv, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "rules.snap"
         assert main(["snapshot", planted_csv, "--out", str(missing)]) == 1
@@ -800,11 +857,59 @@ class TestLoggingAndPostmortemFlags:
         with tarfile.open(bundle) as archive:
             names = sorted(archive.getnames())
             meta = json.loads(archive.extractfile("meta.json").read())
+            events = [
+                json.loads(line)
+                for line in archive.extractfile("events.jsonl")
+            ]
         assert names == [
             "config.json", "events.jsonl", "health.json",
             "meta.json", "metrics.prom",
         ]
         assert "streaming.partition" in meta["reason"]
+        # Armed without --log, the window still holds the fault trip.
+        assert any(
+            e["kind"] == "log" and e["data"]["event"] == "fault.trip"
+            for e in events
+        )
+
+    def test_postmortem_window_holds_spans_logs_and_verdicts(
+        self, clustered_csv, tmp_path, capsys, monkeypatch
+    ):
+        import tarfile
+
+        from repro.resilience import faults
+
+        monkeypatch.setenv("REPRO_FAIL_AT", "streaming.partition:5")
+        pm = tmp_path / "pm"
+        try:
+            code = main([
+                "mine", clustered_csv,
+                "--checkpoint", str(tmp_path / "run.ckpt"),
+                "--checkpoint-every", "200",
+                "--postmortem-dir", str(pm),
+                "--log", str(tmp_path / "mine.jsonl"),
+            ])
+        finally:
+            faults.uninstall()
+        assert code == 1
+        (bundle,) = list(pm.glob("*.tar.gz"))
+        with tarfile.open(bundle) as archive:
+            events = [
+                json.loads(line)
+                for line in archive.extractfile("events.jsonl")
+            ]
+            health = json.loads(archive.extractfile("health.json").read())
+        assert {event["kind"] for event in events} == {"span", "log"}
+        stamps = [event["ts"] for event in events]
+        assert stamps == sorted(stamps)
+        (trip,) = [
+            e for e in events
+            if e["kind"] == "log" and e["data"]["event"] == "fault.trip"
+        ]
+        assert trip["data"]["level"] == "warn"
+        assert trip["data"]["point"] == "streaming.partition"
+        assert health["status"] == "ok"
+        assert {row["rule"] for row in health["results"]} >= {"quarantine_rate"}
 
     def test_malformed_fail_at_is_an_error(self, planted_csv, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_FAIL_AT", "streaming.partition:soon")
