@@ -77,11 +77,6 @@ class LeafNode(Node):
         """Always ``True``."""
         return True
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the leaf is at entry capacity."""
-        return len(self.entries) >= self.capacity
-
     def entry_count(self) -> int:
         """Number of ACF entries stored."""
         return len(self.entries)
@@ -97,7 +92,10 @@ class LeafNode(Node):
         """Index of and centroid distance to the entry closest to ``point``.
 
         Raises ``ValueError`` on an empty leaf.  Hot path: compares squared
-        distances entry by entry instead of stacking centroids.
+        distances entry by entry instead of stacking centroids.  A squared
+        distance is the plain sum of squared deltas, the arithmetic the
+        batch engine's row-wise scores use (a BLAS dot may fuse or reorder
+        the adds, and a last-bit difference can flip a near tie).
         """
         if not self.entries:
             raise ValueError("closest_entry on an empty leaf")
@@ -112,7 +110,7 @@ class LeafNode(Node):
                 # NaN distances and nondeterministic routing.
                 continue
             delta = cf.ls / cf.n - point
-            squared = float(delta @ delta)
+            squared = float((delta * delta).sum())
             if squared < best_squared:
                 best_index = index
                 best_squared = squared
@@ -143,11 +141,6 @@ class InternalNode(Node):
         """Always ``False``."""
         return False
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the node is at branching capacity."""
-        return len(self.children) >= self.branching
-
     def entry_count(self) -> int:
         """Number of child subtrees."""
         return len(self.children)
@@ -167,7 +160,8 @@ class InternalNode(Node):
     def closest_child(self, point: np.ndarray) -> Node:
         """The child whose aggregate centroid is closest to ``point``.
 
-        Hot path: squared distances via one dot product per child.
+        Hot path: one squared distance per child, summed as in
+        :meth:`LeafNode.closest_entry`.
         """
         if not self.children:
             raise ValueError("closest_child on an empty internal node")
@@ -179,7 +173,7 @@ class InternalNode(Node):
             if cf.n == 0:
                 continue
             delta = cf.ls / cf.n - point
-            squared = float(delta @ delta)
+            squared = float((delta * delta).sum())
             if squared < best_squared:
                 best = child
                 best_squared = squared

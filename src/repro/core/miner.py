@@ -144,10 +144,9 @@ class DARMiner:
         ``schema``/``len``/``matrix`` surface the phases read.  A store
         is scanned chunk by chunk (Phase I consumes a
         :class:`~repro.data.columnar.ChunkIterator` at the store's
-        ``chunk_rows``, or ``config.birch.scan_chunk_rows`` when set),
-        so only one chunk of each partition is resident at a time; with
-        a memory budget configured, results are bit-identical to mining
-        the materialized relation under the same budget.
+        ``chunk_rows``), so only one chunk of each partition is resident
+        at a time; results are bit-identical to mining the materialized
+        relation, with or without a memory budget, at any chunk size.
 
         ``partitions`` defaults to one partition per interval attribute.
         ``targets`` optionally names the partitions rules may conclude

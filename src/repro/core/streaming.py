@@ -406,12 +406,13 @@ class StreamingDARMiner:
     def _from_state(cls, state: Mapping[str, object]) -> "StreamingDARMiner":
         config_state = dict(state["config"])  # type: ignore[arg-type]
         if isinstance(config_state.get("birch"), Mapping):
-            # Checkpoints from before the per-point scan option was retired
-            # still record it; both of its settings made the same clusters.
+            # Checkpoints from before the per-point scan option and the
+            # scan batch size were retired still record them; neither
+            # changes the clusters any more.
             config_state["birch"] = {
                 key: value
                 for key, value in config_state["birch"].items()
-                if key != "batch_insert"
+                if key not in ("batch_insert", "scan_chunk_rows")
             }
         config = DARConfig.from_mapping(config_state)
         partitions = [

@@ -235,13 +235,14 @@ def enable_flight(
     """Arm the flight recorder; returns the active recorder.
 
     ``directory`` sets where bundles land; ``config`` is stored and
-    included in every bundle's ``config.json``.
+    included in every bundle's ``config.json``.  Each arm starts a fresh
+    run: a config or dump count from an earlier arm does not carry over.
     """
     global _enabled
     if directory is not None:
         _recorder.directory = Path(directory)
-    if config is not None:
-        _recorder.config = dict(config)
+    _recorder.config = dict(config or {})
+    _recorder.n_dumps = 0
     _enabled = True
     return _recorder
 

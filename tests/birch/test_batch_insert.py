@@ -2,10 +2,9 @@
 
 The contract of :meth:`ACFTree.insert_points` / :meth:`insert_entries`
 (see :mod:`repro.birch.batch`) is decision equivalence: same routing, same
-absorb-vs-new choices, same splits as the per-point loop, with the leaf
-entry main moments bit-identical on 1-D trees (within 1e-9 on wider ones)
-and the deferred payload (cross moments, bounding boxes, aggregates)
-within accumulation-order noise.
+absorb-vs-new choices, same splits as the per-point loop.  The checks here
+compare entry multisets within a tolerance; byte identity of the whole
+tree at any batch cut is ``test_scan_exactness.py``'s.
 """
 
 import numpy as np

@@ -1,12 +1,11 @@
 """Out-of-core mining equals in-memory mining, rule for rule.
 
-The bit-identity contract (see ``docs/SCALING.md``): under a Phase I
-memory budget the scan cadence is pinned to the budget-check interval on
-both paths, so a chunked scan of a :class:`ColumnStore` and a monolithic
-scan of the same :class:`Relation` insert identical batches in identical
-order and every downstream float is bit-identical.  Without a budget the
-same holds whenever ``BirchOptions.scan_chunk_rows`` matches the store's
-chunk size.
+The bit-identity contract (see ``docs/SCALING.md``): the Phase I tree does
+not depend on where a scan cuts its batches, and a memory budget is probed
+at the same scan rows on both paths, so a chunked scan of a
+:class:`ColumnStore` and a monolithic scan of the same :class:`Relation`
+make identical trees and every downstream float is bit-identical — with
+or without a budget, at any chunk size.
 """
 
 from __future__ import annotations
@@ -76,18 +75,44 @@ class TestBudgetedBitIdentity:
             repro.mine(relation, config=BUDGETED),
         )
 
-    def test_unbudgeted_identity_via_scan_chunk_rows(self, relation, tmp_path):
-        """Without a budget, aligning the in-memory scan cadence to the
-        store's chunk size restores bit-identity."""
-        chunk = 777
+    @pytest.mark.parametrize("chunk_rows", [64, 777, 10**6])
+    def test_unbudgeted_identity_at_any_chunk_size(self, relation, tmp_path, chunk_rows):
+        """No budget and no option: chunk boundaries never reach the tree."""
         store = ColumnStore.from_relation(
-            relation, directory=tmp_path / "s", chunk_rows=chunk
+            relation, directory=tmp_path / "s", chunk_rows=chunk_rows
         )
-        aligned = DARConfig(birch=BirchOptions(scan_chunk_rows=chunk))
+        unbudgeted = DARConfig(count_rule_support=True)
         assert_same_rules(
-            repro.mine(store, config=aligned),
-            repro.mine(relation, config=aligned),
+            repro.mine(store, config=unbudgeted),
+            repro.mine(relation, config=unbudgeted),
         )
+
+    def test_budget_that_never_binds_changes_nothing(self, relation):
+        """A budget no probe finds exceeded mines the unbudgeted rules."""
+        roomy = DARConfig(
+            birch=BirchOptions(memory_limit_bytes=2**30), count_rule_support=True
+        )
+        mined = repro.mine(relation, config=roomy)
+        assert all(stats.rebuilds == 0 for stats in mined.phase1.values())
+        assert_same_rules(mined, repro.mine(relation, config=DARConfig(count_rule_support=True)))
+
+    def test_every_scan_mode_mines_the_same_rules(self, relation, tmp_path):
+        """No budget, a roomy budget, out of core, and the worker pool."""
+        plain = DARConfig(count_rule_support=True)
+        roomy = DARConfig(
+            birch=BirchOptions(memory_limit_bytes=2**30), count_rule_support=True
+        )
+        store = ColumnStore.from_relation(
+            relation, directory=tmp_path / "s", chunk_rows=333
+        )
+        want = repro.mine(relation, config=plain)
+        for mined in (
+            repro.mine(relation, config=roomy),
+            repro.mine(store, config=roomy),
+            repro.mine(relation, config=roomy, engine="parallel", workers=1),
+            repro.mine(relation, config=plain, engine="parallel", workers=2),
+        ):
+            assert_same_rules(mined, want)
 
 
 class TestProperty:

@@ -168,6 +168,15 @@ class TestBundles:
         config = json.loads(self._open(path)["config.json"])
         assert config == {"command": "mine", "csv": "a.csv", "attempt": 2}
 
+    def test_rearming_without_config_forgets_the_last_one(self, recorder, tmp_path):
+        flight.enable_flight(directory=tmp_path, config={"command": "mine", "csv": "a.csv"})
+        flight.dump("first-run")
+        flight.disable_flight()
+        rearmed = flight.enable_flight(directory=tmp_path)
+        path = flight.dump("second-run")
+        assert json.loads(self._open(path)["config.json"]) == {}
+        assert rearmed.n_dumps == 1
+
     def test_colliding_names_get_serials(self, recorder):
         first = flight.dump("same-second")
         second = flight.dump("same-second")

@@ -244,6 +244,27 @@ def test_resume_checkpoint_from_before_option_retirement(tmp_path):
     assert rule_signature(resumed.rules()) == rule_signature(full.rules())
 
 
+@pytest.mark.parametrize("value", [None, 777])
+def test_resume_checkpoint_recording_retired_scan_chunk_rows(tmp_path, value):
+    """``BirchOptions.scan_chunk_rows`` is gone; checkpoints that still
+    record it resume to the uninterrupted run's trees and rules."""
+    batches = make_batches(4)
+    path = tmp_path / "old.ckpt"
+    full = StreamingDARMiner(PARTITIONS, DARConfig())
+    for index, batch in enumerate(batches):
+        full.update_arrays(batch)
+        if index == 1:
+            state = full.state_dict()
+    state["config"]["birch"]["scan_chunk_rows"] = value
+    write_checkpoint(state, path)
+
+    resumed = StreamingDARMiner.from_checkpoint(path)
+    for batch in batches[2:]:
+        resumed.update_arrays(batch)
+    assert leaf_moments(resumed) == leaf_moments(full)
+    assert rule_signature(resumed.rules()) == rule_signature(full.rules())
+
+
 def test_resume_preserves_scan_stats_and_counters(tmp_path):
     batches = make_batches(3)
     path = tmp_path / "stream.ckpt"
