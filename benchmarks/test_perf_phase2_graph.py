@@ -1,4 +1,6 @@
-"""Scalar vs vectorized Phase II graph build on the Figure 6 workload.
+"""Phase II fast paths against their baselines.
+
+**Graph build, on the Figure 6 workload.**
 
 Phase I (batch path, PR 1) leaves one ACF-tree per partition; its leaf
 entries — wrapped as :class:`~repro.core.cluster.Cluster` — are exactly
@@ -9,6 +11,15 @@ included), checks decision-equivalence (identical edge sets, identical
 ``GraphStats`` accounting) and gates a ``MIN_SPEEDUP`` throughput ratio,
 mirroring the Phase I batch-ingestion gate.  The ``assoc``-set stage of
 rule formation is measured the same way (reported, not gated).
+
+**Rule formation, on a dense graph.**  The 30-attribute run (every
+attribute of the WBCD surrogate its own partition, 20K tuples, 3 %
+frequency, ``max_antecedent=2``, ``max_consequent=1``) at
+``density_fraction`` 0.25 gives a graph of about 500 non-trivial cliques.
+There the rules stage forms each consequent once, as array work, and the
+reference is the clique-pair loop it replaced
+(``tests/core/rules_oracle.py``).  Both must give the same rule list,
+and the ``MIN_RULES_SPEEDUP`` gate holds the speedup.
 """
 
 import itertools
@@ -17,13 +28,17 @@ import time
 from repro.birch.features import CF
 from repro.birch.tree import ACFTree
 from repro.core.cluster import Cluster, image_distance
+from repro.core.config import DARConfig
 from repro.core.graph import build_clustering_graph
+from repro.core.miner import DARMiner
+from repro.core.phase2 import _form_rules
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.data.relation import AttributePartition
 from repro.data.wbcd import make_scaled_wbcd, make_wbcd_like
 from repro.report.tables import Table
 
 from conftest import bench_scale
+from tests.core.rules_oracle import reference_rules
 
 N_ATTRIBUTES = 4
 # Tighter than the miner's 0.15 default: finer summaries mean more
@@ -33,6 +48,8 @@ DENSITY_FRACTION = 0.05
 PHASE2_LENIENCY = 2.0
 DEGREE_FACTOR = 2.0
 MIN_SPEEDUP = 3.0
+DENSE_FRACTION = 0.25
+MIN_RULES_SPEEDUP = 10.0
 
 
 def build_population():
@@ -111,10 +128,59 @@ def run_comparison():
     run["assoc:scalar_seconds"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    run["assoc:vector"] = kernel.assoc_sets(degree)
+    masks = kernel.assoc_sets(degree)
     run["assoc:vector_seconds"] = time.perf_counter() - started
+    run["assoc:vector"] = {
+        uid: set(kernel.uids[mask].tolist()) for uid, mask in masks.items()
+    }
 
+    run.update(time_dense_rules())
     return run
+
+
+def time_dense_rules():
+    """The rules stage of the 30-attribute run at ``DENSE_FRACTION``:
+    the reference loop, then the per-consequent expansion, over one warm
+    kernel."""
+    base = make_wbcd_like(seed=42)
+    relation = make_scaled_wbcd(
+        int(round(20_000 * bench_scale())), outlier_fraction=0.05, seed=42, base=base
+    )
+    config = DARConfig(
+        frequency_fraction=0.03,
+        density_fraction=DENSE_FRACTION,
+        max_antecedent=2,
+        max_consequent=1,
+    )
+    result = DARMiner(config).mine(
+        relation, [AttributePartition(name, (name,)) for name in base.schema.names]
+    )
+    flat = [c for group in result.frequent_clusters.values() for c in group]
+    kernel = Phase2Kernel(flat, metric=config.metric)
+    for name in kernel.partition_names:
+        kernel.pairwise_on(name)
+    run = {"rules:graph": result.graph, "rules:cliques": result.cliques}
+
+    started = time.perf_counter()
+    run["rules:reference"] = reference_rules(
+        config, result.graph, result.cliques, result.degree_thresholds,
+        kernel=kernel,
+    )
+    run["rules:reference_seconds"] = time.perf_counter() - started
+
+    started = time.perf_counter()
+    run["rules:array"] = _form_rules(
+        config, result.graph, result.degree_thresholds, kernel=kernel
+    )
+    run["rules:array_seconds"] = time.perf_counter() - started
+    return run
+
+
+def listing(rules):
+    return [
+        (str(rule), repr(rule.degree), repr(list(rule.degrees.items())))
+        for rule in rules
+    ]
 
 
 def edge_set(graph):
@@ -130,10 +196,13 @@ def test_perf_phase2_graph(benchmark, emit):
     k = len(run["clusters"])
 
     table = Table(
-        "Scalar vs vectorized Phase II "
-        f"(fig6 workload, {N_ATTRIBUTES} partitions, {k} clusters)",
-        ["stage", "scalar s", "vector s", "speedup", "edges", "comparisons",
-         "pruned"],
+        "Phase II fast paths vs baselines "
+        f"(graph/assoc: fig6 workload, {N_ATTRIBUTES} partitions, {k} clusters, "
+        "scalar engine vs vector kernel; rules: 30 attributes, "
+        f"density_fraction {DENSE_FRACTION}, reference loop vs per-consequent "
+        "arrays)",
+        ["stage", "baseline s", "fast s", "speedup", "edges", "comparisons",
+         "pruned", "cliques", "rules"],
     )
     for label in ("graph", "graph+prune"):
         graph = run[f"{label}:vector"]
@@ -145,13 +214,25 @@ def test_perf_phase2_graph(benchmark, emit):
             graph.n_edges,
             graph.stats.comparisons,
             graph.stats.skipped,
+            "", "",
         )
     table.add_row(
         "assoc",
         run["assoc:scalar_seconds"],
         run["assoc:vector_seconds"],
         run["assoc:scalar_seconds"] / run["assoc:vector_seconds"],
-        "", "", "",
+        "", "", "", "", "",
+    )
+    rules_speedup = run["rules:reference_seconds"] / run["rules:array_seconds"]
+    table.add_row(
+        "rules (dense)",
+        run["rules:reference_seconds"],
+        run["rules:array_seconds"],
+        rules_speedup,
+        run["rules:graph"].n_edges,
+        "", "",
+        sum(1 for clique in run["rules:cliques"] if len(clique) >= 2),
+        len(run["rules:array"]),
     )
     emit(table, "perf_phase2_graph.txt")
 
@@ -165,6 +246,12 @@ def test_perf_phase2_graph(benchmark, emit):
         assert scalar_graph.stats.skipped == vector_graph.stats.skipped
         assert scalar_graph.stats.edges == vector_graph.stats.edges
     assert run["assoc:scalar"] == run["assoc:vector"]
+
+    assert listing(run["rules:array"]) == listing(run["rules:reference"])
+    assert rules_speedup >= MIN_RULES_SPEEDUP, (
+        f"per-consequent rule formation only {rules_speedup:.2f}x faster than "
+        f"the reference loop (required {MIN_RULES_SPEEDUP}x)"
+    )
 
     speedup = run["graph:scalar_seconds"] / run["graph:vector_seconds"]
     assert speedup >= MIN_SPEEDUP, (

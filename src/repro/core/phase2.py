@@ -17,7 +17,6 @@ miners the support :func:`postscan`).
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,8 +30,6 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
-    Tuple,
 )
 
 import numpy as np
@@ -285,8 +282,8 @@ def run_phase2(
 
             stage = time.perf_counter()
             with span("phase2.rules") as rules_span:
-                rules = _rules_from_cliques(
-                    config, graph, cliques, degree_thresholds,
+                rules = _form_rules(
+                    config, graph, degree_thresholds,
                     targets=targets, kernel=kernel,
                 )
                 rules_span.set("rules", len(rules))
@@ -372,160 +369,136 @@ def postscan(
 # ----------------------------------------------------------------------
 
 
-def _rules_from_cliques(
+#: Bound on a batch of consequents expanded together, in
+#: (consequent x cluster) entries of its strength matrix.
+_BATCH_ENTRIES = 1 << 20
+
+
+def _form_rules(
     config: DARConfig,
     graph: ClusteringGraph,
-    cliques: Sequence[FrozenSet[int]],
     degree_thresholds: Mapping[str, float],
     targets: Optional[FrozenSet[str]] = None,
     kernel: Optional[Phase2Kernel] = None,
 ) -> List[DistanceRule]:
-    """Section 6.2 rule formation, deduplicated across clique pairs.
+    """Section 6.2 rule formation, one array expansion per consequent.
 
-    For every sub-clique chosen as a consequent, the antecedent
-    candidates are the intersection of the consequents' ``assoc`` sets;
-    any antecedent subset that is itself a clique (i.e. lies inside
-    some maximal clique Q1) and is partition-disjoint from the
-    consequent yields a rule.  Enumerating antecedent subsets that are
-    pairwise adjacent is exactly equivalent to enumerating subsets of
-    all maximal cliques Q1, without visiting the same rule once per
-    containing clique.
-
-    With ``kernel`` given, the assoc sets, candidate ranking and rule
-    degrees all read the kernel's cached pairwise-distance matrices
-    instead of re-deriving image CFs per pair.
+    The consequents are the graph's cliques of at most ``max_consequent``
+    target clusters, which are exactly the consequent sub-cliques of the
+    maximal cliques.  Consequents of one size are expanded together:
+    candidates are the AND of their ``assoc`` rows, ranked by strength
+    (the largest distance to a consequent cluster, ties by uid) and cut
+    to ``max_antecedent_candidates``; antecedents are the ranked
+    candidates' pairwise-adjacent subsets; degrees are maxima over the
+    (candidate x consequent) distance block, and by the dominance lemma
+    a subset's degree is its last member's strength (ALGORITHMS §4).
+    Distances are the kernel's, or per-pair ``image_distance`` calls
+    under the scalar engine.
     """
-    clusters = graph.clusters
-    dist = _distance_fn(kernel, config.metric)
+    uids = sorted(graph.clusters)
+    clusters = [graph.clusters[uid] for uid in uids]
+    labels = [str(cluster) for cluster in clusters]
+    index = {uid: i for i, uid in enumerate(uids)}
+    names = [cluster.partition.name for cluster in clusters]
+    adjacency = np.zeros((len(uids), len(uids)), dtype=bool)
+    for uid, neighbors in graph.adjacency.items():
+        adjacency[index[uid], [index[v] for v in neighbors]] = True
+    heads = np.array(
+        [i for i, name in enumerate(names) if targets is None or name in targets],
+        dtype=np.int64,
+    )
 
-    # assoc(C_Y) over *all* frequent clusters: antecedent candidates
-    # whose image on Y's partition sits within D0 of C_Y (Section 6.2).
-    # With targets set, only target-partition clusters can be
-    # consequents, so only their assoc sets are ever needed.
+    # distance[h, x] = D(C_x[Y], C_Y[Y]) for the h-th possible consequent
+    # cluster C_Y over partition Y; assoc[h] is assoc(C_Y), which never
+    # holds a cluster over Y.
+    distance = np.full((heads.size, len(uids)), np.inf)
+    assoc = np.zeros((heads.size, len(uids)), dtype=bool)
     if kernel is not None:
-        assoc = kernel.assoc_sets(degree_thresholds, targets=targets)
+        rows = kernel.assoc_sets(degree_thresholds, targets=targets)
+        for h, i in enumerate(heads.tolist()):
+            distance[h] = kernel.pairwise_on(names[i])[:, i]
+            assoc[h] = rows[uids[i]]
     else:
-        assoc = {}
-        for y_uid, y_cluster in clusters.items():
-            y_name = y_cluster.partition.name
-            if targets is not None and y_name not in targets:
-                continue
-            threshold = degree_thresholds[y_name]
-            members: Set[int] = set()
-            for x_uid, x_cluster in clusters.items():
-                if x_cluster.partition.name == y_name:
-                    continue
-                if dist(x_cluster, y_cluster, y_name) <= threshold:
-                    members.add(x_uid)
-            assoc[y_uid] = members
+        for h, i in enumerate(heads.tolist()):
+            for x, name in enumerate(names):
+                if name != names[i]:
+                    distance[h, x] = image_distance(
+                        clusters[x], clusters[i], on=names[i], metric=config.metric
+                    )
+            assoc[h] = distance[h] <= degree_thresholds[names[i]]
 
-    seen: Set[Tuple[frozenset, frozenset]] = set()
     rules: List[DistanceRule] = []
+    step = max(1, _BATCH_ENTRIES // max(1, len(uids)))
+    for cliques in _cliques_by_size(
+        adjacency[np.ix_(heads, heads)][None],
+        np.ones((1, heads.size), dtype=bool),
+        config.max_consequent,
+    ):
+        for start in range(0, len(cliques), step):
+            ys = cliques[start:start + step, 1:]  # rows of distance/assoc
+            candidate = assoc[ys].all(axis=1)
+            strength = np.where(candidate, distance[ys].max(axis=1), np.inf)
+            width = min(
+                config.max_antecedent_candidates,
+                int(candidate.sum(axis=1).max(initial=0)),
+            )
+            ranked = np.argsort(strength, axis=1, kind="stable")[:, :width]
+            valid = np.take_along_axis(candidate, ranked, axis=1)
+            strength = _at_least_zero(np.take_along_axis(strength, ranked, axis=1))
+            # block[c, p, j]: distance of c's p-th candidate to its j-th cluster
+            block = distance[ys[:, None, :], ranked[:, :, None]]
+            linked = adjacency[ranked[:, :, None], ranked[:, None, :]]
 
-    for clique in cliques:
-        ordered = sorted(clique)
-        max_y = min(config.max_consequent, len(ordered))
-        for y_size in range(1, max_y + 1):
-            for consequent_uids in itertools.combinations(ordered, y_size):
-                consequent = tuple(clusters[u] for u in consequent_uids)
-                consequent_names = {c.partition.name for c in consequent}
-                if targets is not None and not consequent_names <= targets:
-                    continue
-                candidates = set.intersection(
-                    *(assoc[u] for u in consequent_uids)
+            consequents = [
+                tuple(map(clusters.__getitem__, row)) for row in heads[ys].tolist()
+            ]
+            rhs = [" & ".join(map(str, consequent)) for consequent in consequents]
+            keys = [[c.uid for c in consequent] for consequent in consequents]
+            for subsets in _cliques_by_size(
+                linked & valid[:, None, :], valid, config.max_antecedent
+            ):
+                owner, chosen = subsets[:, 0], subsets[:, 1:]
+                degree = strength[owner, chosen[:, -1]]
+                degrees = (
+                    degree[:, None]
+                    if ys.shape[1] == 1
+                    else _at_least_zero(block[owner[:, None], chosen].max(axis=1))
                 )
-                candidates -= set(consequent_uids)
-                candidates = {
-                    u
-                    for u in candidates
-                    if clusters[u].partition.name not in consequent_names
-                }
-                if not candidates:
-                    continue
-                ranked = _rank_candidates(
-                    candidates, consequent, clusters, dist,
-                    config.max_antecedent_candidates,
-                )
-                for antecedent_uids in _antecedent_subsets(
-                    ranked, graph, config.max_antecedent
+                for c, row, worst, per in zip(
+                    owner.tolist(), ranked[owner[:, None], chosen].tolist(),
+                    degree.tolist(), degrees.tolist(),
                 ):
-                    antecedent = tuple(clusters[u] for u in antecedent_uids)
-                    antecedent_names = [c.partition.name for c in antecedent]
-                    if len(set(antecedent_names)) != len(antecedent_names):
-                        continue
-                    key = (frozenset(antecedent_uids), frozenset(consequent_uids))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rules.append(_make_rule(antecedent, consequent, dist))
+                    rules.append(DistanceRule.formed(
+                        tuple(map(clusters.__getitem__, row)), consequents[c],
+                        worst, dict(zip(keys[c], per)),
+                        " & ".join(map(labels.__getitem__, row)), rhs[c],
+                    ))
     rules.sort(key=lambda rule: (rule.degree, str(rule)))
     return rules
 
 
-def _distance_fn(kernel: Optional[Phase2Kernel], metric: str):
-    """``dist(x_cluster, y_cluster, on) -> float`` for rule formation:
-    a cached-matrix lookup under the vector engine, a per-pair
-    ``image_distance`` call under the scalar one."""
-    if kernel is not None:
-        return lambda a, b, on: kernel.distance(a.uid, b.uid, on)
-    return lambda a, b, on: image_distance(a, b, on=on, metric=metric)
+def _at_least_zero(values: np.ndarray) -> np.ndarray:
+    """``max(0.0, v)`` as Python computes it: ``-0.0`` becomes ``0.0``."""
+    return np.where(values > 0.0, values, 0.0)
 
 
-def _rank_candidates(
-    candidates: Set[int],
-    consequent: Tuple[Cluster, ...],
-    clusters: Mapping[int, Cluster],
-    dist,
-    limit: int,
-) -> List[int]:
-    """Bound the antecedent search: keep the ``limit`` strongest-associated
-    clusters (smallest worst-case image distance to the consequent),
-    deterministically ordered."""
-    def strength(uid: int) -> float:
-        x_cluster = clusters[uid]
-        return max(
-            dist(x_cluster, y_cluster, y_cluster.partition.name)
-            for y_cluster in consequent
-        )
+def _cliques_by_size(
+    adjacency: np.ndarray, vertices: np.ndarray, max_size: int
+) -> List[np.ndarray]:
+    """Every clique of at most ``max_size`` vertices in a stack of graphs.
 
-    ranked = sorted(candidates, key=lambda uid: (strength(uid), uid))
-    return ranked[:limit]
-
-
-def _antecedent_subsets(
-    candidates: Sequence[int], graph: ClusteringGraph, max_antecedent: int
-):
-    """Non-empty pairwise-adjacent subsets of ``candidates`` (bounded size).
-
-    Size-1 subsets are always cliques; larger subsets require every
-    pair to share a graph edge, which is the Dfn 5.2/5.3 condition
-    that co-antecedent clusters occur together.
+    ``adjacency`` is a ``(graphs, n, n)`` boolean stack with no edge into
+    a vertex that ``vertices`` (``(graphs, n)``) leaves out.  One array
+    per size, each row ``[graph, v1 < v2 < ...]``: cliques of one size
+    extend those of the size below by a later vertex adjacent to all.
     """
-    max_size = min(max_antecedent, len(candidates))
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(candidates, size):
-            if size == 1 or all(
-                graph.has_edge(a, b)
-                for a, b in itertools.combinations(subset, 2)
-            ):
-                yield subset
-
-
-def _make_rule(
-    antecedent: Tuple[Cluster, ...],
-    consequent: Tuple[Cluster, ...],
-    dist,
-) -> DistanceRule:
-    degrees: Dict[int, float] = {}
-    worst = 0.0
-    for y_cluster in consequent:
-        y_name = y_cluster.partition.name
-        y_worst = 0.0
-        for x_cluster in antecedent:
-            distance = dist(x_cluster, y_cluster, y_name)
-            y_worst = max(y_worst, distance)
-        degrees[y_cluster.uid] = y_worst
-        worst = max(worst, y_worst)
-    return DistanceRule(
-        antecedent=antecedent, consequent=consequent, degree=worst, degrees=degrees
-    )
+    later = np.triu(np.ones(adjacency.shape[1:], dtype=bool), 1)
+    found = [np.argwhere(vertices)]
+    while len(found) < max_size and found[-1].size:
+        cliques = found[-1]
+        common = later[cliques[:, -1]]
+        for column in cliques[:, 1:].T:
+            common &= adjacency[cliques[:, 0], column]
+        rows, extra = np.nonzero(common)
+        found.append(np.column_stack([cliques[rows], extra]))
+    return found

@@ -397,25 +397,23 @@ class Phase2Kernel:
         self,
         degree_thresholds: Mapping[str, float],
         targets: Optional[frozenset] = None,
-    ) -> Dict[int, Set[int]]:
+    ) -> Dict[int, np.ndarray]:
         """``assoc(C_Y)`` for every (target) cluster, from cached matrices.
 
         ``assoc(C_Y)`` is the set of frequent clusters over *other*
         partitions whose image on Y's partition lies within ``D0_Y`` of
         ``C_Y`` — the antecedent candidate pool of §6.2 rule formation.
+        Each is returned as a boolean mask over the kernel (uid) order,
+        keyed by ``C_Y``'s uid.
         """
-        assoc: Dict[int, Set[int]] = {}
-        uids = self.uids
+        assoc: Dict[int, np.ndarray] = {}
         for p, name in enumerate(self.partition_names):
             if targets is not None and name not in targets:
                 continue
             rows = np.nonzero(self.partition_of == p)[0]
-            if rows.size == 0:
-                continue
             threshold = float(degree_thresholds[name])
-            others = self.partition_of != p
-            distances = self.pairwise_on(name)
-            for row in rows:
-                members = others & (distances[row] <= threshold)
-                assoc[int(uids[row])] = {int(u) for u in uids[members]}
+            members = (self.pairwise_on(name)[rows] <= threshold) & (
+                self.partition_of != p
+            )
+            assoc.update(zip(self.uids[rows].tolist(), members))
         return assoc

@@ -17,13 +17,14 @@ actually reads:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.rules import DistanceRule
 
 __all__ = [
     "filter_by_consequent",
     "filter_by_antecedent",
+    "irredundant",
     "prune_redundant",
     "select_rules",
 ]
@@ -72,21 +73,27 @@ def prune_redundant(rules: Iterable[DistanceRule]) -> List[DistanceRule]:
     ordered = sorted(
         rules, key=lambda rule: (len(rule.antecedent), rule.degree, str(rule))
     )
-    kept: List[DistanceRule] = []
-    kept_index: List[tuple] = []  # (consequent uids, antecedent uids, degree)
-    for rule in ordered:
-        consequent = rule.consequent_uids
-        antecedent = rule.antecedent_uids
-        redundant = any(
-            consequent == kept_consequent
-            and kept_antecedent < antecedent
-            and kept_degree <= rule.degree + 1e-12
-            for kept_consequent, kept_antecedent, kept_degree in kept_index
-        )
-        if not redundant:
-            kept.append(rule)
-            kept_index.append((consequent, antecedent, rule.degree))
+    entries = ((r.consequent_uids, r.antecedent_uids, r.degree) for r in ordered)
+    kept = [ordered[position] for position in irredundant(entries)]
     kept.sort(key=lambda rule: (rule.degree, str(rule)))
+    return kept
+
+
+def irredundant(entries: Iterable[Tuple[frozenset, frozenset, float]]) -> List[int]:
+    """Positions of the ``(consequent uids, antecedent uids, degree)``
+    entries, in :func:`prune_redundant`'s order, that no earlier kept
+    entry makes redundant.  Kept entries are bucketed by consequent, so
+    each is compared only with those of its own consequent."""
+    kept: List[int] = []
+    by_consequent: Dict[frozenset, List[Tuple[frozenset, float]]] = {}
+    for position, (consequent, antecedent, degree) in enumerate(entries):
+        bucket = by_consequent.setdefault(consequent, [])
+        if not any(
+            kept_antecedent < antecedent and kept_degree <= degree + 1e-12
+            for kept_antecedent, kept_degree in bucket
+        ):
+            bucket.append((antecedent, degree))
+            kept.append(position)
     return kept
 
 

@@ -80,7 +80,7 @@ class DistanceRule:
         return frozenset(cluster.uid for cluster in self.consequent)
 
     def key(self) -> Tuple[frozenset, frozenset]:
-        """Identity for deduplication across clique pairs."""
+        """The rule's identity: its antecedent and consequent uid sets."""
         return self.antecedent_uids, self.consequent_uids
 
     def __str__(self) -> str:
@@ -90,12 +90,20 @@ class DistanceRule:
     def _label(self) -> str:
         """The rule's description, rendered once: it is both the ranking
         tie-break and the snapshot's stored description."""
-        lhs = " & ".join(str(cluster) for cluster in self.antecedent)
-        rhs = " & ".join(str(cluster) for cluster in self.consequent)
-        suffix = f" (degree={self.degree:.4g}"
-        if self.support_count is not None:
-            suffix += f", support={self.support_count}"
-        return f"{lhs} => {rhs}{suffix})"
+        return _describe(
+            " & ".join(map(str, self.antecedent)),
+            " & ".join(map(str, self.consequent)),
+            self.degree,
+            self.support_count,
+        )
+
+    @classmethod
+    def formed(cls, antecedent, consequent, degree, degrees, lhs, rhs):
+        """A rule described from its sides' labels rendered already:
+        ``lhs``/``rhs`` are the sides' cluster labels joined by ``" & "``."""
+        rule = cls(antecedent, consequent, degree, degrees)
+        rule.__dict__["_label"] = _describe(lhs, rhs, degree, None)
+        return rule
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceRule):
@@ -104,6 +112,11 @@ class DistanceRule:
 
     def __hash__(self) -> int:
         return hash(self.key())
+
+
+def _describe(lhs: str, rhs: str, degree: float, support: Optional[int]) -> str:
+    counted = "" if support is None else f", support={support}"
+    return f"{lhs} => {rhs} (degree={degree:.4g}{counted})"
 
 
 class RuleList(list):

@@ -151,6 +151,10 @@ def make_planted_rule_relation(
     return relation, PlantedStructure(centers=centers, labels=labels, spread=1.0)
 
 
+#: Rows :func:`scale_relation` draws per block.
+_BLOCK_ROWS = 8_192
+
+
 def scale_relation(
     base: Relation,
     target_size: int,
@@ -186,20 +190,30 @@ def scale_relation(
     indices = rng.integers(0, n_base, size=n_clustered)
     spread = matrix.std(axis=0)
     spread[spread == 0] = 1.0
-    jitter = rng.normal(size=(n_clustered, matrix.shape[1])) * (
-        spread * jitter_fraction
-    )
-    replicated = matrix[indices] + jitter
+    scale = spread * jitter_fraction
+    # One (attribute, tuple) array, filled block by block in draw order
+    # and then permuted one attribute at a time, so that no temporary is
+    # as large as the result.
+    columns = np.empty((matrix.shape[1], target_size))
+    for start in range(0, n_clustered, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_clustered)
+        block = rng.normal(size=(stop - start, matrix.shape[1]))
+        block *= scale
+        block += matrix[indices[start:stop]]
+        columns[:, start:stop] = block.T
 
     if n_outliers:
         lo = matrix.min(axis=0)
         hi = matrix.max(axis=0)
         pad = (hi - lo) * 0.5 + spread
-        outliers = rng.uniform(lo - pad, hi + pad, size=(n_outliers, matrix.shape[1]))
-        data = np.vstack([replicated, outliers])
-    else:
-        data = replicated
-    data = data[rng.permutation(data.shape[0])]
+        for start in range(n_clustered, target_size, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, target_size)
+            columns[:, start:stop] = rng.uniform(
+                lo - pad, hi + pad, size=(stop - start, matrix.shape[1])
+            ).T
+    order = rng.permutation(target_size)
+    for column in columns:
+        column[:] = column[order]
 
     schema = base.schema.project(names)
-    return Relation(schema, {name: data[:, i] for i, name in enumerate(names)})
+    return Relation(schema, dict(zip(names, columns)))

@@ -33,6 +33,7 @@ from urllib.parse import parse_qsl, urlencode
 from repro.core.postprocess import (
     filter_by_antecedent,
     filter_by_consequent,
+    irredundant,
     prune_redundant,
     select_rules,
 )
@@ -406,22 +407,17 @@ class QueryEngine:
                 snap.descriptions[i],
             ),
         )
-        kept: List[int] = []
-        kept_index: List[tuple] = []
-        for rule_id in ordered:
-            consequent = frozenset(snap.consequent_uids(rule_id))
-            antecedent = frozenset(snap.antecedent_uids(rule_id))
-            degree = float(snap.degree[rule_id])
-            redundant = any(
-                consequent == kept_consequent
-                and kept_antecedent < antecedent
-                and kept_degree <= degree + 1e-12
-                for kept_consequent, kept_antecedent, kept_degree in kept_index
+        return [
+            ordered[position]
+            for position in irredundant(
+                (
+                    frozenset(snap.consequent_uids(i)),
+                    frozenset(snap.antecedent_uids(i)),
+                    float(snap.degree[i]),
+                )
+                for i in ordered
             )
-            if not redundant:
-                kept.append(rule_id)
-                kept_index.append((consequent, antecedent, degree))
-        return kept
+        ]
 
     # ------------------------------------------------------------------
 

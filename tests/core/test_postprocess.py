@@ -117,3 +117,61 @@ class TestSelectRules:
         weak = rule([A1], [C1], 0.2, support=5)
         strong = rule([A2], [C1], 0.2, support=80)
         assert select_rules([weak, strong])[0] is strong
+
+
+def reference_prune_redundant(rules):
+    """The quadratic loop ``prune_redundant`` ran before it bucketed kept
+    rules by consequent: every rule against every kept rule."""
+    ordered = sorted(
+        rules, key=lambda rule: (len(rule.antecedent), rule.degree, str(rule))
+    )
+    kept, kept_index = [], []
+    for rule in ordered:
+        consequent, antecedent = rule.consequent_uids, rule.antecedent_uids
+        if not any(
+            consequent == kept_consequent
+            and kept_antecedent < antecedent
+            and kept_degree <= rule.degree + 1e-12
+            for kept_consequent, kept_antecedent, kept_degree in kept_index
+        ):
+            kept.append(rule)
+            kept_index.append((consequent, antecedent, rule.degree))
+    kept.sort(key=lambda rule: (rule.degree, str(rule)))
+    return kept
+
+
+@pytest.fixture(scope="module")
+def stream_rules():
+    """The rules of a 12,000-row, 7-attribute stream fed in 10 batches
+    (the benchmark's ``stream`` shape): 3,420 rules."""
+    from repro.core.streaming import StreamingDARMiner
+    from repro.data.relation import default_partitions
+    from repro.data.synthetic import make_clustered_relation
+
+    relation, _ = make_clustered_relation(
+        n_modes=8, points_per_mode=1_500, n_attributes=7, seed=3
+    )
+    miner = StreamingDARMiner(default_partitions(relation.schema))
+    for chunk in np.array_split(np.arange(len(relation)), 10):
+        miner.update(relation.take(chunk))
+    return miner.rules()
+
+
+class TestPruneAgainstReference:
+    def test_library_prune_matches_the_quadratic_loop(self, stream_rules):
+        rules = list(stream_rules.rules)
+        assert len(rules) > 3_000
+        kept = prune_redundant(rules)
+        assert [str(r) for r in kept] == [
+            str(r) for r in reference_prune_redundant(rules)
+        ]
+        assert len(kept) < len(rules)
+
+    def test_query_engine_prune_matches_the_quadratic_loop(self, stream_rules):
+        from repro.serve.query import QueryEngine, RuleQuery
+        from repro.serve.snapshot import compile_snapshot
+
+        snapshot = compile_snapshot(stream_rules)
+        answer = QueryEngine(snapshot).query(RuleQuery(prune_redundant=True))
+        want = [str(r) for r in reference_prune_redundant(stream_rules.rules)]
+        assert [snapshot.descriptions[i] for i in answer.ids] == want

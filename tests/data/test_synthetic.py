@@ -122,3 +122,50 @@ class TestScaleRelation:
             scale_relation(base, 0)
         with pytest.raises(ValueError):
             scale_relation(base, 100, outlier_fraction=1.0)
+
+
+def reference_scale_relation(base, target_size, outlier_fraction=0.05,
+                             jitter_fraction=0.01, seed=0):
+    """``scale_relation`` as it was written with full-size temporaries
+    (jitter, gathered base rows, their sum, the outlier stack and the
+    permuted copy): the values the in-place version must reproduce."""
+    names = base.schema.interval_names()
+    matrix = base.matrix(names)
+    rng = np.random.default_rng(seed)
+    n_outliers = int(round(target_size * outlier_fraction))
+    n_clustered = target_size - n_outliers
+    indices = rng.integers(0, matrix.shape[0], size=n_clustered)
+    spread = matrix.std(axis=0)
+    spread[spread == 0] = 1.0
+    jitter = rng.normal(size=(n_clustered, matrix.shape[1])) * (
+        spread * jitter_fraction
+    )
+    data = matrix[indices] + jitter
+    if n_outliers:
+        lo, hi = matrix.min(axis=0), matrix.max(axis=0)
+        pad = (hi - lo) * 0.5 + spread
+        data = np.vstack([
+            data,
+            rng.uniform(lo - pad, hi + pad, size=(n_outliers, matrix.shape[1])),
+        ])
+    data = data[rng.permutation(data.shape[0])]
+    return {name: data[:, i] for i, name in enumerate(names)}
+
+
+class TestScaleRelationReference:
+    @pytest.mark.parametrize("seed", [0, 7, 43])
+    @pytest.mark.parametrize("size", [1, 999, 8_192, 8_193, 30_001])
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.05, 0.3])
+    def test_byte_identical_to_reference(self, seed, size, outlier_fraction):
+        from repro.data.wbcd import make_wbcd_like
+
+        base = make_wbcd_like(seed=seed)
+        scaled = scale_relation(
+            base, size, outlier_fraction=outlier_fraction, seed=seed
+        )
+        want = reference_scale_relation(
+            base, size, outlier_fraction=outlier_fraction, seed=seed
+        )
+        for name, column in want.items():
+            assert scaled.column(name).dtype == column.dtype
+            assert scaled.column(name).tobytes() == column.tobytes()
