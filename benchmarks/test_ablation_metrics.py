@@ -1,4 +1,4 @@
-"""A2 — D1 (centroid Manhattan) vs D2 (average inter-cluster) in Phase II.
+"""A2 — D1 (centroid Manhattan) vs D2 (RMS inter-cluster) in Phase II.
 
 Section 5 defines both cluster distances and leaves the choice open ("We
 will use D to refer to a distance metric between clusters when we are not
@@ -58,7 +58,7 @@ def test_ablation_metrics(benchmark, emit):
         ["metric", "graph edges", "rules", "phase2 s"],
     )
     table.add_row("D1 (centroid Manhattan)", d1["edges"], d1["rules"], d1["seconds"])
-    table.add_row("D2 (avg inter-cluster)", d2["edges"], d2["rules"], d2["seconds"])
+    table.add_row("D2 (RMS inter-cluster)", d2["edges"], d2["rules"], d2["seconds"])
     emit(table, "ablation_metrics.txt")
 
     assert d1["rules"] > 0 and d2["rules"] > 0

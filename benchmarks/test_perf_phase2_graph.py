@@ -6,11 +6,12 @@ Phase I (batch path, PR 1) leaves one ACF-tree per partition; its leaf
 entries — wrapped as :class:`~repro.core.cluster.Cluster` — are exactly
 the population Phase II runs over.  This benchmark times the Dfn 6.1
 clustering-graph construction twice over that population: the per-pair
-scalar loop and the blocked numpy kernel (``engine="vector"``, extraction
-included), checks decision-equivalence (identical edge sets, identical
-``GraphStats`` accounting) and gates a ``MIN_SPEEDUP`` throughput ratio,
-mirroring the Phase I batch-ingestion gate.  The ``assoc``-set stage of
-rule formation is measured the same way (reported, not gated).
+oracle loop (``tests/core/graph_oracle.py``) and the blocked numpy kernel
+(extraction included), checks decision-equivalence (identical edge sets,
+identical ``GraphStats`` accounting) and gates a ``MIN_SPEEDUP``
+throughput ratio, mirroring the Phase I batch-ingestion gate.  The
+``assoc``-set stage of rule formation is measured the same way
+(reported, not gated).
 
 **Rule formation, on a dense graph.**  The 30-attribute run (every
 attribute of the WBCD surrogate its own partition, 20K tuples, 3 %
@@ -29,7 +30,6 @@ from repro.birch.features import CF
 from repro.birch.tree import ACFTree
 from repro.core.cluster import Cluster, image_distance
 from repro.core.config import DARConfig
-from repro.core.graph import build_clustering_graph
 from repro.core.miner import DARMiner
 from repro.core.phase2 import _form_rules
 from repro.core.phase2_kernel import Phase2Kernel
@@ -38,6 +38,7 @@ from repro.data.wbcd import make_scaled_wbcd, make_wbcd_like
 from repro.report.tables import Table
 
 from conftest import bench_scale
+from tests.core.graph_oracle import reference_graph
 from tests.core.rules_oracle import reference_rules
 
 N_ATTRIBUTES = 4
@@ -85,7 +86,7 @@ def build_population():
     return names, clusters, thresholds
 
 
-def scalar_assoc(clusters, degree_thresholds):
+def oracle_assoc(clusters, degree_thresholds):
     assoc = {}
     for y in clusters:
         y_name = y.partition.name
@@ -104,33 +105,33 @@ def run_comparison():
     degree = {name: DEGREE_FACTOR * value for name, value in thresholds.items()}
     run = {"names": names, "clusters": clusters}
 
-    # Gated configuration: density pruning off, so both engines evaluate
+    # Gated configuration: density pruning off, so both builders evaluate
     # every cross-partition pair and the comparison measures the distance
     # kernel itself.  With pruning on, the §6.2 diameter check discards
     # most pairs before any distance is computed, so that row (reported
     # below) measures the mask machinery instead.
     for label, pruning in (("graph", False), ("graph+prune", True)):
         started = time.perf_counter()
-        run[f"{label}:scalar"] = build_clustering_graph(
-            clusters, thresholds, use_density_pruning=pruning, engine="scalar"
+        run[f"{label}:oracle"] = reference_graph(
+            clusters, thresholds, use_density_pruning=pruning
         )
-        run[f"{label}:scalar_seconds"] = time.perf_counter() - started
+        run[f"{label}:oracle_seconds"] = time.perf_counter() - started
 
         started = time.perf_counter()
         kernel = Phase2Kernel(clusters, metric="d2")
-        run[f"{label}:vector"] = kernel.build_graph(
+        run[f"{label}:kernel"] = kernel.build_graph(
             thresholds, use_density_pruning=pruning
         )
-        run[f"{label}:vector_seconds"] = time.perf_counter() - started
+        run[f"{label}:kernel_seconds"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    run["assoc:scalar"] = scalar_assoc(clusters, degree)
-    run["assoc:scalar_seconds"] = time.perf_counter() - started
+    run["assoc:oracle"] = oracle_assoc(clusters, degree)
+    run["assoc:oracle_seconds"] = time.perf_counter() - started
 
     started = time.perf_counter()
     masks = kernel.assoc_sets(degree)
-    run["assoc:vector_seconds"] = time.perf_counter() - started
-    run["assoc:vector"] = {
+    run["assoc:kernel_seconds"] = time.perf_counter() - started
+    run["assoc:kernel"] = {
         uid: set(kernel.uids[mask].tolist()) for uid, mask in masks.items()
     }
 
@@ -198,19 +199,19 @@ def test_perf_phase2_graph(benchmark, emit):
     table = Table(
         "Phase II fast paths vs baselines "
         f"(graph/assoc: fig6 workload, {N_ATTRIBUTES} partitions, {k} clusters, "
-        "scalar engine vs vector kernel; rules: 30 attributes, "
+        "per-pair oracle vs kernel; rules: 30 attributes, "
         f"density_fraction {DENSE_FRACTION}, reference loop vs per-consequent "
         "arrays)",
         ["stage", "baseline s", "fast s", "speedup", "edges", "comparisons",
          "pruned", "cliques", "rules"],
     )
     for label in ("graph", "graph+prune"):
-        graph = run[f"{label}:vector"]
+        graph = run[f"{label}:kernel"]
         table.add_row(
             label,
-            run[f"{label}:scalar_seconds"],
-            run[f"{label}:vector_seconds"],
-            run[f"{label}:scalar_seconds"] / run[f"{label}:vector_seconds"],
+            run[f"{label}:oracle_seconds"],
+            run[f"{label}:kernel_seconds"],
+            run[f"{label}:oracle_seconds"] / run[f"{label}:kernel_seconds"],
             graph.n_edges,
             graph.stats.comparisons,
             graph.stats.skipped,
@@ -218,9 +219,9 @@ def test_perf_phase2_graph(benchmark, emit):
         )
     table.add_row(
         "assoc",
-        run["assoc:scalar_seconds"],
-        run["assoc:vector_seconds"],
-        run["assoc:scalar_seconds"] / run["assoc:vector_seconds"],
+        run["assoc:oracle_seconds"],
+        run["assoc:kernel_seconds"],
+        run["assoc:oracle_seconds"] / run["assoc:kernel_seconds"],
         "", "", "", "", "",
     )
     rules_speedup = run["rules:reference_seconds"] / run["rules:array_seconds"]
@@ -238,14 +239,14 @@ def test_perf_phase2_graph(benchmark, emit):
 
     # Decision-equivalence: identical edges and identical accounting.
     for label in ("graph", "graph+prune"):
-        scalar_graph = run[f"{label}:scalar"]
-        vector_graph = run[f"{label}:vector"]
-        assert edge_set(scalar_graph) == edge_set(vector_graph)
-        assert scalar_graph.n_edges == vector_graph.n_edges
-        assert scalar_graph.stats.comparisons == vector_graph.stats.comparisons
-        assert scalar_graph.stats.skipped == vector_graph.stats.skipped
-        assert scalar_graph.stats.edges == vector_graph.stats.edges
-    assert run["assoc:scalar"] == run["assoc:vector"]
+        oracle_graph = run[f"{label}:oracle"]
+        kernel_graph = run[f"{label}:kernel"]
+        assert edge_set(oracle_graph) == edge_set(kernel_graph)
+        assert oracle_graph.n_edges == kernel_graph.n_edges
+        assert oracle_graph.stats.comparisons == kernel_graph.stats.comparisons
+        assert oracle_graph.stats.skipped == kernel_graph.stats.skipped
+        assert oracle_graph.stats.edges == kernel_graph.stats.edges
+    assert run["assoc:oracle"] == run["assoc:kernel"]
 
     assert listing(run["rules:array"]) == listing(run["rules:reference"])
     assert rules_speedup >= MIN_RULES_SPEEDUP, (
@@ -253,8 +254,8 @@ def test_perf_phase2_graph(benchmark, emit):
         f"the reference loop (required {MIN_RULES_SPEEDUP}x)"
     )
 
-    speedup = run["graph:scalar_seconds"] / run["graph:vector_seconds"]
+    speedup = run["graph:oracle_seconds"] / run["graph:kernel_seconds"]
     assert speedup >= MIN_SPEEDUP, (
-        f"vectorized graph build only {speedup:.2f}x faster than scalar "
+        f"vectorized graph build only {speedup:.2f}x faster than the per-pair oracle "
         f"(required {MIN_SPEEDUP}x)"
     )

@@ -59,9 +59,8 @@ def mine(
     :func:`repro.resilience.guard.guarded_mine`: bad input fails fast
     with a precise :class:`~repro.resilience.errors.ValidationError`,
     memory exhaustion escalates the density thresholds and retries
-    (recorded in ``result.phase2.events``), a Phase II kernel failure
-    falls back to the scalar engine, and a structurally corrupt result is
-    never returned.
+    (recorded in ``result.phase2.events``), and a structurally corrupt
+    result is never returned.
 
     ``relation`` may also be a memory-mapped
     :class:`~repro.data.columnar.ColumnStore` (from

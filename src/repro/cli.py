@@ -77,10 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="D0 = degree-factor x d0 (default 2.0)")
     mine.add_argument("--metric", choices=("d1", "d2"), default="d2",
                       help="cluster distance for Phase II (default d2)")
-    mine.add_argument("--engine", choices=("auto", "vector", "scalar"),
-                      default="auto",
-                      help="Phase II distance engine (default auto: the "
-                      "vectorized kernel whenever images are CFs)")
     mine.add_argument("--workers", type=int, default=1, metavar="N",
                       help="mine with N worker processes (default 1: "
                       "serial; 0 = auto, resolving REPRO_WORKERS then "
@@ -591,7 +587,6 @@ def _run_mine(args: argparse.Namespace, capture: Optional[dict] = None) -> int:
         degree_factor=args.degree_factor,
         metric=args.metric,
         count_rule_support=args.count_support,
-        phase2_engine=args.engine,
     )
     if args.memory_budget is not None:
         from repro.birch.birch import BirchOptions
@@ -644,9 +639,9 @@ def _run_mine(args: argparse.Namespace, capture: Optional[dict] = None) -> int:
             raise ValueError("--json is not supported together with --mixed")
         if workers > 1:
             raise ValueError(
-                "--workers is not supported together with --mixed (nominal "
-                "images are outside the parallel engine's domain); drop "
-                "--workers to mine mixed data serially"
+                "--workers is not supported together with --mixed (the "
+                "mixed miner has no parallel engine); drop --workers to "
+                "mine mixed data serially"
             )
         result = MixedDARMiner(MixedDARConfig(base=config)).mine_mixed(relation)
     else:
@@ -711,11 +706,10 @@ def _run_mine(args: argparse.Namespace, capture: Optional[dict] = None) -> int:
                 print(f"# scan {name}: {scan.describe()}")
         phase2 = getattr(result, "phase2", None)
         if phase2 is not None:
-            engine = f" engine={phase2.engine}" if phase2.engine else ""
             print(
                 f"# phase2: {phase2.n_clusters} clusters "
                 f"({phase2.n_frequent_clusters} frequent), "
-                f"{phase2.n_cliques} cliques in {phase2.seconds:.3f}s{engine}"
+                f"{phase2.n_cliques} cliques in {phase2.seconds:.3f}s"
             )
             breakdown = " ".join(
                 f"{name}={seconds:.3f}s"

@@ -4,12 +4,7 @@ from repro.core.cliques import maximal_cliques, non_trivial_cliques
 from repro.core.cluster import CLUSTER_METRICS, Cluster, image_distance
 from repro.core.config import DARConfig
 from repro.core.gqar import GQARConfig, GQARMiner, GQARResult, GQARRule
-from repro.core.graph import (
-    GRAPH_ENGINES,
-    ClusteringGraph,
-    GraphStats,
-    build_clustering_graph,
-)
+from repro.core.graph import ClusteringGraph, GraphStats, build_clustering_graph
 from repro.core.interest import (
     RuleInterest,
     classical_rule_interest,
@@ -45,7 +40,6 @@ __all__ = [
     "GQARRule",
     "ClusteringGraph",
     "GraphStats",
-    "GRAPH_ENGINES",
     "build_clustering_graph",
     "ImageMoments",
     "Phase2Kernel",

@@ -50,7 +50,6 @@ class DARConfig:
     count_rule_support: bool = False
     rule_support_fraction: Optional[float] = None
     birch: BirchOptions = field(default_factory=BirchOptions)
-    phase2_engine: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.frequency_fraction <= 1.0:
@@ -73,11 +72,6 @@ class DARConfig:
             0.0 <= self.rule_support_fraction <= 1.0
         ):
             raise ValueError("rule_support_fraction must be in [0, 1]")
-        if self.phase2_engine not in ("auto", "vector", "scalar"):
-            raise ValueError(
-                f"phase2_engine must be 'auto', 'vector' or 'scalar', "
-                f"got {self.phase2_engine!r}"
-            )
 
     # ------------------------------------------------------------------
     # Alternative constructors

@@ -15,7 +15,7 @@ Section 6.2's cost reduction is implemented as an optional pre-filter:
 contribute edges to the graph.  ...  In an initial pass over the ACFs, we
 can determine if edges from a given node need to be computed, dramatically
 reducing the number of node comparisons required."  A node whose image on
-partition ``Y`` has RMS diameter above ``pruning_factor x d0_Y`` skips all
+partition ``Y`` has diameter above ``pruning_factor x d0_Y`` skips all
 comparisons against ``Y``'s clusters.  The builder counts performed and
 skipped comparisons so the ablation benchmark can report the saving.
 """
@@ -23,26 +23,20 @@ skipped comparisons so the ablation benchmark can report the saving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set
+from typing import Dict, FrozenSet, Mapping, Sequence, Set
 
-from repro.core.cluster import Cluster, image_distance
+from repro.core.cluster import Cluster
 
-__all__ = ["ClusteringGraph", "GraphStats", "GRAPH_ENGINES", "build_clustering_graph"]
+__all__ = ["ClusteringGraph", "GraphStats", "build_clustering_graph"]
 
 
 @dataclass
 class GraphStats:
-    """Comparison accounting for the §6.2 pruning ablation.
-
-    ``engine`` records which builder produced the graph (``"scalar"`` per
-    pair Python calls, ``"vector"`` the blocked numpy kernel); both count
-    comparisons, skips and edges identically.
-    """
+    """Comparison accounting for the §6.2 pruning ablation."""
 
     comparisons: int = 0
     skipped: int = 0
     edges: int = 0
-    engine: str = "scalar"
 
     @property
     def considered(self) -> int:
@@ -81,103 +75,25 @@ class ClusteringGraph:
         return len(self.adjacency.get(uid, ()))
 
 
-#: Recognized values of ``build_clustering_graph``'s ``engine`` parameter.
-GRAPH_ENGINES = ("auto", "vector", "scalar")
-
-
 def build_clustering_graph(
     clusters: Sequence[Cluster],
     density_thresholds: Mapping[str, float],
     metric: str = "d2",
     use_density_pruning: bool = True,
     pruning_diameter_factor: float = 2.0,
-    engine: str = "auto",
 ) -> ClusteringGraph:
     """Construct the Dfn 6.1 graph over ``clusters``.
 
     ``density_thresholds`` maps partition name to the (Phase II, possibly
     leniency-scaled) ``d0`` used for edge tests.  Every cluster's partition
-    must appear in the mapping.
-
-    ``engine`` selects the builder: ``"vector"`` uses the blocked numpy
-    kernel of :mod:`repro.core.phase2_kernel`, ``"scalar"`` the per-pair
-    Python loop, and ``"auto"`` (the default) picks the kernel whenever
-    every cluster carries CF images for every partition present (mixed
-    nominal/interval populations fall back to the scalar path).  Both
-    engines are decision-equivalent: identical edge sets and identical
-    :class:`GraphStats` accounting.
+    must appear in the mapping.  The graph is built by the blocked
+    :class:`~repro.core.phase2_kernel.Phase2Kernel`, over CF images on
+    interval partitions and value histograms on nominal ones.
     """
     from repro.core.phase2_kernel import Phase2Kernel
 
-    if engine not in GRAPH_ENGINES:
-        raise ValueError(
-            f"unknown graph engine {engine!r}; available: {GRAPH_ENGINES}"
-        )
-    if engine == "auto":
-        engine = "vector" if Phase2Kernel.supports(clusters) else "scalar"
-    if engine == "vector":
-        kernel = Phase2Kernel(clusters, metric=metric)
-        return kernel.build_graph(
-            density_thresholds,
-            use_density_pruning=use_density_pruning,
-            pruning_diameter_factor=pruning_diameter_factor,
-        )
-
-    by_uid: Dict[int, Cluster] = {}
-    for cluster in clusters:
-        if cluster.uid in by_uid:
-            raise ValueError(f"duplicate cluster uid {cluster.uid}")
-        if cluster.partition.name not in density_thresholds:
-            raise ValueError(
-                f"no density threshold for partition {cluster.partition.name!r}"
-            )
-        by_uid[cluster.uid] = cluster
-
-    adjacency: Dict[int, Set[int]] = {uid: set() for uid in by_uid}
-    stats = GraphStats()
-    ordered: List[Cluster] = sorted(by_uid.values(), key=lambda c: c.uid)
-
-    # Pre-compute, per cluster, the partitions against which its image is
-    # dense enough to be worth comparing (the §6.2 initial ACF pass).
-    viable_against: Dict[int, Set[str]] = {}
-    if use_density_pruning:
-        partition_names = {cluster.partition.name for cluster in ordered}
-        for cluster in ordered:
-            viable: Set[str] = set()
-            for other_name in partition_names:
-                if other_name == cluster.partition.name:
-                    continue
-                bound = pruning_diameter_factor * density_thresholds[other_name]
-                if cluster.image_diameter(other_name) <= bound:
-                    viable.add(other_name)
-            viable_against[cluster.uid] = viable
-
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if a.partition.name == b.partition.name:
-                continue
-            if use_density_pruning:
-                if (
-                    b.partition.name not in viable_against[a.uid]
-                    or a.partition.name not in viable_against[b.uid]
-                ):
-                    stats.skipped += 1
-                    continue
-            stats.comparisons += 1
-            name_a, name_b = a.partition.name, b.partition.name
-            close_on_a = (
-                image_distance(a, b, on=name_a, metric=metric)
-                <= density_thresholds[name_a]
-            )
-            if not close_on_a:
-                continue
-            close_on_b = (
-                image_distance(a, b, on=name_b, metric=metric)
-                <= density_thresholds[name_b]
-            )
-            if close_on_b:
-                adjacency[a.uid].add(b.uid)
-                adjacency[b.uid].add(a.uid)
-                stats.edges += 1
-
-    return ClusteringGraph(clusters=by_uid, adjacency=adjacency, stats=stats)
+    return Phase2Kernel(clusters, metric=metric).build_graph(
+        density_thresholds,
+        use_density_pruning=use_density_pruning,
+        pruning_diameter_factor=pruning_diameter_factor,
+    )

@@ -35,15 +35,15 @@ from typing import (
 import numpy as np
 
 from repro.core.cliques import maximal_cliques, non_trivial_cliques
-from repro.core.cluster import Cluster, image_distance
+from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
-from repro.core.graph import ClusteringGraph, build_clustering_graph
+from repro.core.graph import ClusteringGraph
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.core.rules import DistanceRule
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.resilience import faults
-from repro.resilience.events import GuardEvent, record_guard_event
+from repro.resilience.events import GuardEvent
 
 __all__ = [
     "Phase2Output",
@@ -58,16 +58,12 @@ __all__ = [
 class Phase2Stats:
     """Diagnostics of the in-memory rule-formation phase.
 
-    ``engine`` is the resolved distance engine (``"vector"`` for the
-    blocked numpy kernel, ``"scalar"`` for per-pair Python calls, empty
-    when Phase II never ran) — resolved *after* any degradation, so it
-    always names the engine that actually produced the graph.  ``events``
-    records graceful degradations in order (e.g. a vector-kernel failure
-    that fell back to the scalar engine, or a guarded retry after memory
-    exhaustion); an empty list means the run was clean.  The
-    ``*_seconds`` fields break ``seconds`` down by stage: image-moment
-    extraction, clustering-graph build, maximal-clique enumeration and
-    rule emission (assoc sets, antecedent search, degree computation).
+    ``events`` records graceful degradations in order (e.g. a guarded
+    retry after memory exhaustion); an empty list means the run was
+    clean.  The ``*_seconds`` fields break ``seconds`` down by stage:
+    image-summary extraction, clustering-graph build, maximal-clique
+    enumeration and rule emission (assoc sets, antecedent search, degree
+    computation).
     """
 
     seconds: float = 0.0
@@ -79,7 +75,6 @@ class Phase2Stats:
     comparisons: int = 0
     comparisons_skipped: int = 0
     n_rules: int = 0
-    engine: str = ""
     extract_seconds: float = 0.0
     graph_seconds: float = 0.0
     clique_seconds: float = 0.0
@@ -185,12 +180,9 @@ def run_phase2(
     Graph edges use ``leniency[name] x d0`` per partition, with
     ``config.phase2_leniency`` for every partition ``leniency`` does not
     name (Section 6.2: a more lenient Phase II threshold gives better
-    rules).  The engine comes from ``config.phase2_engine``; ``"auto"``
-    picks the vector kernel whenever :meth:`Phase2Kernel.supports` the
-    population.  ``kernel_factory`` builds that kernel (default: a serial
-    :class:`Phase2Kernel`); if it or the kernel's graph build fails, the
-    failure is recorded as a ``kernel_fallback`` guard event and the run
-    continues on the scalar engine with identical decisions.  Rules are
+    rules).  ``kernel_factory`` builds the distance kernel every stage
+    reads (default: a serial :class:`Phase2Kernel`); a failure there, or
+    in any later stage, propagates to the caller.  Rules are
     formed only over ``targets`` consequents when given, then passed
     through ``postprocess`` (inside the ``phase2`` span, so its time is
     Phase II time).  The stats are published to the metrics registry
@@ -210,31 +202,16 @@ def run_phase2(
         "phase2", frequent_clusters=len(flat), **dict(span_attributes or {})
     ) as phase2_span:
         if len(frequent_clusters) >= 2:
-            engine = config.phase2_engine
-            if engine == "auto":
-                engine = "vector" if Phase2Kernel.supports(flat) else "scalar"
-
-            # Image-moment extraction: every frequent cluster's (N, LS, SS)
-            # on every partition, stacked once, reused by the graph build
-            # AND the rule-formation stage below.
+            # Image-summary extraction: every frequent cluster's image on
+            # every partition, stacked once, reused by the graph build AND
+            # the rule-formation stage below.
             stage = time.perf_counter()
-            kernel: Optional[Phase2Kernel] = None
             with span("phase2.extract", clusters=len(flat)):
-                if engine == "vector":
-                    try:
-                        faults.fire("phase2.kernel")
-                        if kernel_factory is None:
-                            kernel = Phase2Kernel(flat, metric=config.metric)
-                        else:
-                            kernel = kernel_factory(flat)
-                    except Exception as error:
-                        stats.events.append(record_guard_event(
-                            "kernel_fallback",
-                            f"vector Phase II kernel failed during moment "
-                            f"extraction ({error}); degraded to the "
-                            f"scalar engine",
-                        ))
-                        engine = "scalar"
+                faults.fire("phase2.kernel")
+                if kernel_factory is None:
+                    kernel = Phase2Kernel(flat, metric=config.metric)
+                else:
+                    kernel = kernel_factory(flat)
             stats.extract_seconds = time.perf_counter() - stage
 
             overrides = leniency or {}
@@ -244,34 +221,12 @@ def run_phase2(
             }
             stage = time.perf_counter()
             with span("phase2.graph") as graph_span:
-                if kernel is not None:
-                    try:
-                        graph = kernel.build_graph(
-                            lenient,
-                            use_density_pruning=config.use_density_pruning,
-                            pruning_diameter_factor=config.pruning_diameter_factor,
-                        )
-                    except Exception as error:
-                        stats.events.append(record_guard_event(
-                            "kernel_fallback",
-                            f"vector Phase II kernel failed during graph "
-                            f"build ({error}); degraded to the scalar "
-                            f"engine",
-                        ))
-                        engine = "scalar"
-                        kernel = None
-                if kernel is None:
-                    graph = build_clustering_graph(
-                        flat,
-                        lenient,
-                        metric=config.metric,
-                        use_density_pruning=config.use_density_pruning,
-                        pruning_diameter_factor=config.pruning_diameter_factor,
-                        engine="scalar",
-                    )
-                graph_span.set("engine", engine)
+                graph = kernel.build_graph(
+                    lenient,
+                    use_density_pruning=config.use_density_pruning,
+                    pruning_diameter_factor=config.pruning_diameter_factor,
+                )
                 graph_span.set("edges", graph.n_edges)
-            stats.engine = engine
             stats.graph_seconds = time.perf_counter() - stage
 
             stage = time.perf_counter()
@@ -283,8 +238,7 @@ def run_phase2(
             stage = time.perf_counter()
             with span("phase2.rules") as rules_span:
                 rules = _form_rules(
-                    config, graph, degree_thresholds,
-                    targets=targets, kernel=kernel,
+                    config, graph, degree_thresholds, kernel, targets=targets
                 )
                 rules_span.set("rules", len(rules))
             stats.rules_seconds = time.perf_counter() - stage
@@ -378,8 +332,8 @@ def _form_rules(
     config: DARConfig,
     graph: ClusteringGraph,
     degree_thresholds: Mapping[str, float],
+    kernel: Phase2Kernel,
     targets: Optional[FrozenSet[str]] = None,
-    kernel: Optional[Phase2Kernel] = None,
 ) -> List[DistanceRule]:
     """Section 6.2 rule formation, one array expansion per consequent.
 
@@ -392,8 +346,8 @@ def _form_rules(
     candidates' pairwise-adjacent subsets; degrees are maxima over the
     (candidate x consequent) distance block, and by the dominance lemma
     a subset's degree is its last member's strength (ALGORITHMS §4).
-    Distances are the kernel's, or per-pair ``image_distance`` calls
-    under the scalar engine.
+    Distances and ``assoc`` rows are read from ``kernel``, which must
+    cover every cluster of ``graph``.
     """
     uids = sorted(graph.clusters)
     clusters = [graph.clusters[uid] for uid in uids]
@@ -413,19 +367,10 @@ def _form_rules(
     # holds a cluster over Y.
     distance = np.full((heads.size, len(uids)), np.inf)
     assoc = np.zeros((heads.size, len(uids)), dtype=bool)
-    if kernel is not None:
-        rows = kernel.assoc_sets(degree_thresholds, targets=targets)
-        for h, i in enumerate(heads.tolist()):
-            distance[h] = kernel.pairwise_on(names[i])[:, i]
-            assoc[h] = rows[uids[i]]
-    else:
-        for h, i in enumerate(heads.tolist()):
-            for x, name in enumerate(names):
-                if name != names[i]:
-                    distance[h, x] = image_distance(
-                        clusters[x], clusters[i], on=names[i], metric=config.metric
-                    )
-            assoc[h] = distance[h] <= degree_thresholds[names[i]]
+    rows = kernel.assoc_sets(degree_thresholds, targets=targets)
+    for h, i in enumerate(heads.tolist()):
+        distance[h] = kernel.pairwise_on(names[i])[:, i]
+        assoc[h] = rows[uids[i]]
 
     rules: List[DistanceRule] = []
     step = max(1, _BATCH_ENTRIES // max(1, len(uids)))

@@ -3,40 +3,47 @@
 Phase II never touches raw data (Thm 6.1): every quantity it needs — the
 Dfn 6.1 clustering-graph edge tests, the §6.2 density-pruning mask, the
 ``assoc`` sets and degrees of association of §6.2 rule formation — is a
-function of the image CFs ``(N, LS, SS)`` carried by the frequent
-clusters' ACFs.  The scalar path re-derives both image CFs and one
-distance per Python call, which makes graph construction O(k²) slow
-Python work.  :class:`Phase2Kernel` instead extracts every cluster's
-image moments **once** per partition into stacked numpy matrices and
-computes whole pairwise D1 (Eq. 5) / RMS-D2 (Eq. 6) distance matrices
-with blocked array ops.
+function of the clusters' image summaries.  :class:`Phase2Kernel`
+extracts every cluster's image summary **once** per partition into
+stacked numpy matrices and computes whole pairwise distance matrices with
+blocked array ops:
 
-The kernel is decision-equivalent to the scalar path: it evaluates the
-same formulas (``repro.metrics.cluster``) over the same moments, in the
-same cluster (uid) order, with the same threshold comparisons — the
-equivalence suite in ``tests/core/test_phase2_kernel.py`` pins identical
-edge sets, identical :class:`~repro.core.graph.GraphStats` accounting and
-distances within 1e-9 of the scalar values.
+* on an interval partition the images are CFs ``(N, LS, SS)``, and the
+  matrix is D1 (Eq. 5) or RMS-D2 (Eq. 6) from the stacked moments;
+* on a nominal partition (the Section 8 mixed-data extension) the images
+  are value histograms, and under the 0/1 metric (Thm 5.2) D2 is
+  ``1 - sum_v c_A(v) c_B(v) / (|A| |B|)`` — one integer matrix product of
+  the stacked ``(k, V)`` count matrix over the partition's values.
 
-Clusters whose images are not plain CFs (the Section 8 mixed-data
-extension uses value histograms for nominal projections) are outside the
-kernel's domain; :func:`Phase2Kernel.supports` reports that and callers
-fall back to the scalar path.
+The kernel evaluates the same formulas as the per-cluster summaries
+(``repro.metrics.cluster``, :class:`~repro.mixed.features.NominalFeature`)
+in the same cluster (uid) order.  Nominal arithmetic stays in int64 until
+the one division, so those entries equal ``NominalFeature.d2`` and
+``.diameter`` bit for bit.  ``tests/core/graph_oracle.py`` keeps the
+per-pair graph loop as the reference the equivalence suite in
+``tests/core/test_phase2_kernel.py`` holds the kernel to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.birch.features import CF
 from repro.core.cluster import CLUSTER_METRICS, Cluster
+from repro.core.graph import ClusteringGraph, GraphStats
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
-__all__ = ["ImageMoments", "Phase2Kernel", "pairwise_block", "require_finite"]
+__all__ = [
+    "ImageHistograms",
+    "ImageMoments",
+    "Phase2Kernel",
+    "pairwise_block",
+    "require_finite",
+]
 
 
 def pairwise_block(
@@ -67,6 +74,20 @@ def pairwise_block(
     cross = (ls[start:stop] @ ls.T) / np.outer(n[start:stop], n)
     squared = ss_over_n[start:stop, None] + ss_over_n[None, :] - 2.0 * cross
     return np.sqrt(np.maximum(squared, 0.0))
+
+
+def _nominal_block(
+    counts: np.ndarray, n: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """Rows ``[start, stop)`` of the pairwise 0/1-metric D2 matrix.
+
+    ``counts`` is the ``(k, V)`` int64 value-histogram stack and ``n`` its
+    row sums.  The agreements ``sum_v c_A(v) c_B(v)`` and the pair counts
+    ``|A| |B|`` are exact integers; the one division rounds once, exactly
+    as ``NominalFeature.d2`` does.
+    """
+    agreements = counts[start:stop] @ counts.T
+    return 1.0 - agreements / np.outer(n[start:stop], n)
 
 
 def require_finite(array: np.ndarray, what: str, partition_name: str) -> None:
@@ -136,11 +157,52 @@ class ImageMoments:
         return np.where(singleton, 0.0, np.sqrt(np.maximum(squared, 0.0)))
 
 
+@dataclass(frozen=True)
+class ImageHistograms:
+    """Stacked value histograms of every cluster on one nominal partition.
+
+    Column ``v`` of ``counts`` is one value of the partition's vocabulary
+    (every value any cluster's image holds); row ``i`` is cluster ``i``'s
+    histogram in kernel order, and ``n[i]`` its tuple count.
+    """
+
+    counts: np.ndarray  # (k, V) int64
+    n: np.ndarray  # (k,) int64
+
+    @classmethod
+    def stack(cls, images: Sequence) -> "ImageHistograms":
+        """Stack ``NominalFeature``-like images (``.counts`` mappings)."""
+        vocabulary: Dict[Hashable, int] = {}
+        rows: List[int] = []
+        columns: List[int] = []
+        values: List[int] = []
+        for i, image in enumerate(images):
+            for value, count in image.counts.items():
+                rows.append(i)
+                columns.append(vocabulary.setdefault(value, len(vocabulary)))
+                values.append(count)
+        counts = np.zeros((len(images), len(vocabulary)), dtype=np.int64)
+        counts[rows, columns] = values
+        return cls(counts=counts, n=counts.sum(axis=1))
+
+    def diameters(self) -> np.ndarray:
+        """Per-row 0/1-metric diameter ``1 - sum c(c-1) / (n(n-1))``.
+
+        Singletons (``n < 2``) have diameter 0, as in
+        ``NominalFeature.diameter``; they are routed around the division.
+        """
+        n = self.n
+        singleton = n < 2
+        agreements = (self.counts * (self.counts - 1)).sum(axis=1)
+        pairs = np.where(singleton, 1, n * (n - 1))
+        return np.where(singleton, 0.0, 1.0 - agreements / pairs)
+
+
 class Phase2Kernel:
     """Blocked pairwise image distances over one frequent-cluster population.
 
     The kernel is built once per mining run from the flat list of frequent
-    clusters.  Construction performs the image-moment extraction; distance
+    clusters.  Construction performs the image-summary extraction; distance
     matrices are materialized lazily, once per partition, and cached — the
     clustering-graph build, the ``assoc``-set computation and the
     rule-formation degree lookups all read the same cached matrices.
@@ -180,46 +242,34 @@ class Phase2Kernel:
             [name_index[c.partition.name] for c in ordered], dtype=np.int64
         )
 
-        # ---------------- image-moment extraction (once per cluster) ----
+        # ---------------- image-summary extraction (once per cluster) ---
         self._moments: Dict[str, ImageMoments] = {}
+        self._histograms: Dict[str, ImageHistograms] = {}
         for name in self.partition_names:
             images = [c.image(name) for c in ordered]
-            for cluster, image in zip(ordered, images):
-                if not isinstance(image, CF):
-                    raise TypeError(
-                        f"cluster {cluster.uid} has a non-CF image on "
-                        f"{name!r} ({type(image).__name__}); the vectorized "
-                        f"kernel requires CF images — use the scalar path"
-                    )
-            self._moments[name] = ImageMoments(
-                n=np.array([cf.n for cf in images], dtype=np.float64),
-                ls=np.stack([cf.ls for cf in images]) if images else np.zeros((0, 0)),
-                ss=np.array([cf.ss_total for cf in images], dtype=np.float64),
-            )
+            kinds = {
+                "CF" if isinstance(image, CF)
+                else "histogram" if hasattr(image, "counts")
+                else type(image).__name__
+                for image in images
+            }
+            if kinds == {"CF"}:
+                self._moments[name] = ImageMoments(
+                    n=np.array([cf.n for cf in images], dtype=np.float64),
+                    ls=np.stack([cf.ls for cf in images]),
+                    ss=np.array([cf.ss_total for cf in images], dtype=np.float64),
+                )
+            elif kinds == {"histogram"}:
+                self._histograms[name] = ImageHistograms.stack(images)
+            else:
+                raise TypeError(
+                    f"partition {name!r}: the kernel needs every image to "
+                    f"be a CF or every image a value histogram, got "
+                    f"{sorted(kinds)}"
+                )
 
         self._distances: Dict[str, np.ndarray] = {}
         self._diameters: Dict[str, np.ndarray] = {}
-
-    # ------------------------------------------------------------------
-    # Capability probe
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def supports(clusters: Sequence[Cluster]) -> bool:
-        """Whether every cluster has a CF image on every partition present.
-
-        Mixed-data clusters carry histogram images for nominal partitions
-        and are out of scope; populations with missing cross moments are
-        left to the scalar path so they fail (or succeed) exactly as
-        before.
-        """
-        names = {c.partition.name for c in clusters}
-        try:
-            return all(
-                isinstance(c.image(name), CF) for c in clusters for name in names
-            )
-        except KeyError:
-            return False
 
     # ------------------------------------------------------------------
     # Cached matrices
@@ -235,12 +285,17 @@ class Phase2Kernel:
         return self._moments[partition_name]
 
     def image_diameters_on(self, partition_name: str) -> np.ndarray:
-        """RMS diameter of every cluster's image on ``partition_name``
-        (the quantity the §6.2 pre-filter thresholds)."""
+        """Diameter of every cluster's image on ``partition_name`` (the
+        quantity the §6.2 pre-filter thresholds): RMS for CF images, the
+        0/1-metric diameter for value histograms."""
         cached = self._diameters.get(partition_name)
         if cached is None:
-            cached = self._moments[partition_name].rms_diameters()
-            require_finite(cached, "image RMS diameters", partition_name)
+            histograms = self._histograms.get(partition_name)
+            if histograms is None:
+                cached = self._moments[partition_name].rms_diameters()
+            else:
+                cached = histograms.diameters()
+            require_finite(cached, "image diameters", partition_name)
             self._diameters[partition_name] = cached
         return cached
 
@@ -248,18 +303,19 @@ class Phase2Kernel:
         """The full k x k image-distance matrix on one partition.
 
         ``result[i, j]`` is ``D(C_i[P], C_j[P])`` under the kernel's
-        metric, rows/columns in kernel (uid-sorted) order.  Computed
-        blocked on first use and cached.
+        metric (always the 0/1-metric D2 on a nominal partition, where a
+        centroid distance has no meaning), rows/columns in kernel
+        (uid-sorted) order.  Computed blocked on first use and cached.
         """
         cached = self._distances.get(partition_name)
         if cached is None:
-            cached = self._compute_pairwise(self._moments[partition_name])
+            cached = self._compute_pairwise(partition_name)
             require_finite(cached, "pairwise image distances", partition_name)
             self._distances[partition_name] = cached
         return cached
 
-    def _compute_pairwise(self, moments: ImageMoments) -> np.ndarray:
-        k = moments.k
+    def _compute_pairwise(self, partition_name: str) -> np.ndarray:
+        k = self.k
         n_blocks = -(-k // self.block_size) if k else 0
         with span("phase2.kernel.pairwise", k=k, blocks=n_blocks):
             if obs_metrics.metrics_enabled():
@@ -273,15 +329,24 @@ class Phase2Kernel:
                     n_blocks,
                     help="Row blocks materialized by the pairwise kernel",
                 )
-            return self._pairwise_blocked(moments)
+            histograms = self._histograms.get(partition_name)
+            if histograms is None:
+                return self._pairwise_blocked(self._moments[partition_name])
+            out = np.zeros((k, k), dtype=np.float64)
+            for start in range(0, k, self.block_size):
+                stop = min(start + self.block_size, k)
+                out[start:stop] = _nominal_block(
+                    histograms.counts, histograms.n, start, stop
+                )
+            return out
 
     def _pairwise_blocked(self, moments: ImageMoments) -> np.ndarray:
-        """The blocked distance-matrix computation behind ``pairwise_on``.
+        """The blocked CF distance-matrix computation behind ``pairwise_on``.
 
         The parallel kernel overrides this to run the same
         :func:`pairwise_block` calls on a worker pool and reassemble the
-        tiles; everything else (caching, graph build, assoc sets) is
-        shared.
+        tiles; everything else (nominal partitions, caching, graph build,
+        assoc sets) is shared.
         """
         k = moments.k
         out = np.zeros((k, k), dtype=np.float64)
@@ -307,7 +372,7 @@ class Phase2Kernel:
     ) -> np.ndarray:
         """``mask[i, p]`` — may cluster ``i`` be compared against partition
         ``p`` (kernel partition order)?  False where the cluster's image on
-        ``p`` has RMS diameter above ``factor x d0_p`` (§6.2); a cluster is
+        ``p`` has diameter above ``factor x d0_p`` (§6.2); a cluster is
         always viable against its own partition (never compared anyway).
         """
         k, n_parts = self.k, len(self.partition_names)
@@ -324,16 +389,15 @@ class Phase2Kernel:
         density_thresholds: Mapping[str, float],
         use_density_pruning: bool = True,
         pruning_diameter_factor: float = 2.0,
-    ):
-        """The Dfn 6.1 clustering graph, identical to the scalar builder.
+    ) -> ClusteringGraph:
+        """The Dfn 6.1 clustering graph over the kernel's clusters.
 
-        Returns a :class:`~repro.core.graph.ClusteringGraph` whose
-        adjacency, edge set and :class:`~repro.core.graph.GraphStats`
-        accounting (comparisons / skipped / edges) match
-        ``build_clustering_graph(engine="scalar")`` exactly.
+        ``density_thresholds`` maps partition name to the (Phase II,
+        possibly leniency-scaled) ``d0`` used for edge tests.  Every
+        comparison, §6.2 skip and edge is counted in the returned
+        :class:`~repro.core.graph.GraphStats`, exactly as the per-pair
+        loop would count it.
         """
-        from repro.core.graph import ClusteringGraph, GraphStats
-
         for cluster in self.order:
             if cluster.partition.name not in density_thresholds:
                 raise ValueError(
@@ -342,7 +406,7 @@ class Phase2Kernel:
                 )
 
         adjacency: Dict[int, Set[int]] = {uid: set() for uid in self.clusters}
-        stats = GraphStats(engine="vector")
+        stats = GraphStats()
         names = self.partition_names
         thresholds = {name: float(density_thresholds[name]) for name in names}
 

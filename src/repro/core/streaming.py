@@ -405,6 +405,9 @@ class StreamingDARMiner:
     @classmethod
     def _from_state(cls, state: Mapping[str, object]) -> "StreamingDARMiner":
         config_state = dict(state["config"])  # type: ignore[arg-type]
+        # Checkpoints from before Phase II had one engine record the
+        # retired engine choice; every value mines the same rules.
+        config_state.pop("phase2_engine", None)
         if isinstance(config_state.get("birch"), Mapping):
             # Checkpoints from before the per-point scan option and the
             # scan batch size were retired still record them; neither

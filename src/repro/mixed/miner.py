@@ -227,15 +227,20 @@ class MixedDARMiner(DARMiner):
         nominal_masks: Dict[int, np.ndarray] = {}
         for partition in nominal_partitions:
             column = nominal_columns[partition.name]
-            values, counts = np.unique(column.astype(str), return_counts=True)
-            raw_column = column
+            # Group on the rendered value (sortable for any value type), but
+            # key every histogram by the raw values, as the other images on
+            # this partition are: one value domain per partition.
+            keys = column.astype(str)
+            groups, first, counts = np.unique(
+                keys, return_index=True, return_counts=True
+            )
             partition_clusters = []
-            for value, count in zip(values, counts):
+            for key, at, count in zip(groups, first, counts):
                 if count < frequency_count:
                     continue
-                mask = raw_column.astype(str) == value
+                mask = keys == key
                 images = {
-                    partition.name: NominalFeature({value: int(count)})
+                    partition.name: NominalFeature.of_values(column[mask])
                 }
                 for p in interval_partitions:
                     images[p.name] = CF.of_points(matrices[p.name][mask])
@@ -247,7 +252,7 @@ class MixedDARMiner(DARMiner):
                     uid=next(uid),
                     partition=partition,
                     images=images,
-                    value=value,
+                    value=column[at],
                 )
                 nominal_masks[cluster.uid] = mask
                 partition_clusters.append(cluster)

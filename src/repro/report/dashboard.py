@@ -425,9 +425,6 @@ def render_run_report(
         if phase2 is not None:
             meta.setdefault("clusters", getattr(phase2, "n_clusters", "?"))
             meta.setdefault("cliques", getattr(phase2, "n_cliques", "?"))
-            engine = getattr(phase2, "engine", "")
-            if engine:
-                meta.setdefault("phase2 engine", engine)
     sections = [_meta_section(meta, hero)]
     if health is not None:
         sections.append(_health_section(health))

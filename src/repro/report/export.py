@@ -97,7 +97,6 @@ def phase2_stats_to_dict(stats: Phase2Stats) -> Dict:
     """Phase II diagnostics, including the per-stage timing breakdown."""
     return {
         "seconds": float(stats.seconds),
-        "engine": stats.engine,
         "n_clusters": stats.n_clusters,
         "n_frequent_clusters": stats.n_frequent_clusters,
         "n_edges": stats.n_edges,

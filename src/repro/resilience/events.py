@@ -8,9 +8,9 @@ while adding a machine-readable ``kind`` (the same label the
 each event is also emitted through the structured logger at WARN.
 
 The class lives here, below both :mod:`repro.resilience.guard` and
-:mod:`repro.core.miner`, because both layers record degradation events
-(the guard's ladder rungs; the miner's kernel fallback) and guard
-imports the miner.
+:mod:`repro.core.phase2`, because both layers use it (the guard records
+its ladder rungs; ``Phase2Stats.events`` carries them) and guard imports
+the miner.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class GuardEvent:
     """One degradation-ladder step: what happened, as label and prose.
 
     ``kind`` is the stable machine label (``worker_pool_failure``,
-    ``columnar_fallback``, ``memory_escalation``, ``kernel_fallback``);
+    ``columnar_fallback``, ``memory_escalation``);
     ``detail`` the human sentence older tooling shows verbatim;
     ``at_iso`` when it happened (UTC).
 

@@ -2,7 +2,7 @@
 
 The production code is instrumented with named *fault points* — cheap
 :func:`fire` calls at the places where a real deployment dies: between
-per-partition tree updates mid-batch, inside the Phase II vector kernel,
+per-partition tree updates mid-batch, at Phase II kernel construction,
 and between a checkpoint's temp-file write and its atomic rename.  With no
 injector installed a fault point is one dict lookup; tests install a
 :class:`FaultInjector` to make a chosen point raise
@@ -15,7 +15,7 @@ Instrumented points:
 ==========================  ====================================================
 ``streaming.update``        start of ``StreamingDARMiner.update_arrays``
 ``streaming.partition``     before each per-partition tree insert (mid-batch)
-``phase2.kernel``           start of the Phase II vector-kernel path
+``phase2.kernel``           before every miner's Phase II kernel is built
 ``checkpoint.replace``      after the temp checkpoint is written, before rename
 ``parallel.pool``           worker-pool creation in the parallel coordinator
 ``parallel.worker``         entry of each parallel worker task (inherited

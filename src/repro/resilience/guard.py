@@ -31,10 +31,7 @@ mining run degrades in controlled, *recorded* steps instead of dying:
    :class:`~repro.resilience.errors.ResourceExhaustedError` rather than
    an infinite ladder.  Every rung is recorded in
    ``result.phase2.events``.
-5. **Kernel failure → scalar engine.**  Handled inside the miner (the
-   vector Phase II kernel falls back to the scalar distance engine and
-   records the event); the guard surfaces those events unchanged.
-6. **No partially-corrupt results.**  :func:`validate_result` checks the
+5. **No partially-corrupt results.**  :func:`validate_result` checks the
    structural invariants of the :class:`~repro.core.miner.DARResult`
    before it is returned; a violation raises
    :class:`~repro.resilience.errors.CorruptResultError` instead of

@@ -19,7 +19,7 @@ class TestValidation:
             {"degree_factor": 0.0},
             {"phase2_leniency": 0.5},
             {"metric": "d3"},
-            {"phase2_engine": "turbo"},
+            {"rule_support_fraction": 1.5},
             {"max_antecedent": 0},
             {"max_consequent": 0},
             {"max_antecedent_candidates": 0},
@@ -59,11 +59,11 @@ class TestThresholdResolution:
 class TestFromMapping:
     def test_round_trips_plain_fields(self):
         config = DARConfig.from_mapping(
-            {"frequency_fraction": 0.05, "metric": "d1", "phase2_engine": "scalar"}
+            {"frequency_fraction": 0.05, "metric": "d1", "max_consequent": 1}
         )
         assert config.frequency_fraction == 0.05
         assert config.metric == "d1"
-        assert config.phase2_engine == "scalar"
+        assert config.max_consequent == 1
 
     def test_nested_birch_mapping(self):
         config = DARConfig.from_mapping(
@@ -87,6 +87,14 @@ class TestFromMapping:
     def test_cluster_metric_key_is_unknown(self):
         with pytest.raises(ValueError, match="unknown DARConfig key.*cluster_metric"):
             DARConfig.from_mapping({"cluster_metric": "d1"})
+
+    @pytest.mark.parametrize("engine", ["auto", "vector", "scalar"])
+    def test_phase2_engine_key_is_unknown(self, engine):
+        # Phase II has one engine; the retired choice fails loudly.
+        with pytest.raises(ValueError, match="unknown DARConfig key.*phase2_engine"):
+            DARConfig.from_mapping({"phase2_engine": engine})
+        with pytest.raises(TypeError, match="phase2_engine"):
+            DARConfig(phase2_engine=engine)
 
     def test_alias_conflict_rejected(self):
         with pytest.raises(ValueError, match="cluster_metric"):

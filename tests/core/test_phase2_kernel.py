@@ -1,10 +1,12 @@
-"""Scalar-vs-vectorized Phase II equivalence (core/phase2_kernel.py).
+"""The Phase II kernel (core/phase2_kernel.py) against per-pair oracles.
 
-The vectorized kernel claims decision-equivalence with the per-pair
-scalar path: identical edge sets, identical GraphStats accounting,
-distances within 1e-9.  These tests pin that on hand-built populations,
-on full miner runs over the synthetic workloads, and on random ACF
-populations via hypothesis.
+The blocked kernel claims decision-equivalence with one Python distance
+call per pair (``tests/core/graph_oracle.py``, and the per-pair mode of
+``tests/core/rules_oracle.py``): identical edge sets, identical
+GraphStats accounting, distances within 1e-9 on CF images and equal bit
+for bit on nominal value histograms.  These tests pin that on hand-built
+populations, on full miner runs over the synthetic workloads, and on
+random ACF and mixed populations via hypothesis.
 """
 
 import numpy as np
@@ -12,14 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.birch.features import ACF
+from repro.birch.features import ACF, CF
+from repro.core.cliques import maximal_cliques
 from repro.core.cluster import Cluster, image_distance
 from repro.core.config import DARConfig
 from repro.core.graph import build_clustering_graph
 from repro.core.miner import DARMiner
+from repro.core.phase2 import _form_rules
 from repro.core.phase2_kernel import Phase2Kernel
 from repro.data.relation import AttributePartition
 from repro.data.synthetic import make_clustered_relation, make_planted_rule_relation
+from repro.mixed.cluster import MixedCluster
+from repro.mixed.features import NominalFeature
+
+from tests.core.graph_oracle import reference_graph
+from tests.core.rules_oracle import reference_rules
 
 PARTITIONS = {
     "x": AttributePartition("x", ("x",)),
@@ -62,6 +71,50 @@ def random_population(seed, n_clusters=8, names=("x", "y", "z")):
 def thresholds_for(clusters, scale):
     names = {c.partition.name for c in clusters}
     return {name: scale for name in names}
+
+
+#: Nominal values of mixed types: the kernel's vocabulary keys on the
+#: raw values, as ``NominalFeature`` does.
+VALUES = ["a", "b", "c", 1, 2, 2.5]
+
+histograms = st.dictionaries(
+    st.sampled_from(VALUES), st.integers(1, 60), min_size=1, max_size=len(VALUES)
+).map(NominalFeature)
+
+
+def mixed_population(seed, n_clusters=10):
+    """MixedClusters over interval ``x``/``y`` and nominal ``job``/``dept``:
+    CF images on the interval partitions, value histograms on the
+    nominal ones, each cluster carrying an image on all four."""
+    rng = np.random.default_rng(seed)
+    names = ("x", "y", "job", "dept")
+    clusters = []
+    for uid in range(n_clusters):
+        own = names[uid] if uid < len(names) else names[int(rng.integers(4))]
+        n_points = int(rng.integers(1, 6))
+        center = rng.normal(0.0, 3.0, size=2)
+        images = {
+            name: CF.of_points(
+                (center[i] + rng.normal(0.0, 1.0, n_points)).reshape(-1, 1)
+            )
+            for i, name in enumerate(("x", "y"))
+        }
+        for name, domain in (("job", VALUES[:3]), ("dept", VALUES[3:])):
+            images[name] = NominalFeature.of_values(
+                rng.choice(np.array(domain, dtype=object), n_points)
+            )
+        value = None
+        if own in ("job", "dept"):
+            value = next(iter(images[own].counts))
+            images[own] = NominalFeature({value: n_points})
+        metric = "discrete" if value is not None else "euclidean"
+        clusters.append(MixedCluster(
+            uid=uid,
+            partition=AttributePartition(own, (own,), metric=metric),
+            images=images,
+            value=value,
+        ))
+    return clusters
 
 
 class TestKernelMatrices:
@@ -111,7 +164,7 @@ class TestKernelMatrices:
         with pytest.raises(KeyError, match="bogus"):
             Phase2Kernel(random_population(seed=5, n_clusters=2), metric="bogus")
 
-    def test_supports_rejects_missing_cross_moments(self):
+    def test_missing_cross_moments_rejected(self):
         incomplete = Cluster(
             uid=0,
             partition=PARTITIONS["x"],
@@ -124,8 +177,15 @@ class TestKernelMatrices:
                 np.array([[2.0]]), {"x": np.array([[1.0]])}
             ),
         )
-        assert not Phase2Kernel.supports([incomplete, complete])
-        assert Phase2Kernel.supports([complete])
+        with pytest.raises(KeyError, match="cross moments"):
+            Phase2Kernel([incomplete, complete])
+        assert Phase2Kernel([complete]).k == 1
+
+    def test_mixed_image_kinds_rejected(self):
+        clusters = mixed_population(seed=6, n_clusters=4)
+        clusters[0].images["job"] = clusters[0].images["x"]
+        with pytest.raises(TypeError, match="'job'"):
+            Phase2Kernel(clusters)
 
     def test_empty_population(self):
         kernel = Phase2Kernel([])
@@ -141,31 +201,12 @@ class TestGraphEquivalence:
     def test_random_populations(self, metric, pruning, seed):
         clusters = random_population(seed=seed, n_clusters=12)
         thresholds = thresholds_for(clusters, scale=4.0)
-        scalar = build_clustering_graph(
-            clusters, thresholds, metric=metric,
-            use_density_pruning=pruning, engine="scalar",
-        )
-        vector = build_clustering_graph(
-            clusters, thresholds, metric=metric,
-            use_density_pruning=pruning, engine="vector",
-        )
-        assert scalar.stats.engine == "scalar"
-        assert vector.stats.engine == "vector"
-        assert edge_set(scalar) == edge_set(vector)
-        assert scalar.stats.comparisons == vector.stats.comparisons
-        assert scalar.stats.skipped == vector.stats.skipped
-        assert scalar.stats.edges == vector.stats.edges
-
-    def test_auto_prefers_vector_for_cf_images(self):
-        clusters = random_population(seed=7, n_clusters=6)
-        graph = build_clustering_graph(
-            clusters, thresholds_for(clusters, 2.0), engine="auto"
-        )
-        assert graph.stats.engine == "vector"
+        assert_same_graph(clusters, thresholds, metric, pruning)
 
     def test_unknown_engine_rejected(self):
+        # The engine choice is gone: any engine= is a TypeError.
         clusters = random_population(seed=8, n_clusters=2)
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             build_clustering_graph(
                 clusters, thresholds_for(clusters, 1.0), engine="turbo"
             )
@@ -176,7 +217,7 @@ class TestGraphEquivalence:
         present = {c.partition.name for c in clusters}
         thresholds.pop(sorted(present)[0])
         with pytest.raises(ValueError, match="threshold"):
-            build_clustering_graph(clusters, thresholds, engine="vector")
+            build_clustering_graph(clusters, thresholds)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -190,19 +231,73 @@ class TestGraphEquivalence:
         self, seed, n_clusters, scale, metric, pruning
     ):
         clusters = random_population(seed=seed, n_clusters=n_clusters)
-        thresholds = thresholds_for(clusters, scale)
-        scalar = build_clustering_graph(
-            clusters, thresholds, metric=metric,
-            use_density_pruning=pruning, engine="scalar",
+        assert_same_graph(
+            clusters, thresholds_for(clusters, scale), metric, pruning
         )
-        vector = build_clustering_graph(
-            clusters, thresholds, metric=metric,
-            use_density_pruning=pruning, engine="vector",
+
+
+def assert_same_graph(clusters, thresholds, metric, pruning):
+    """The kernel-built graph equals the per-pair oracle's."""
+    oracle = reference_graph(
+        clusters, thresholds, metric=metric, use_density_pruning=pruning
+    )
+    kernel = build_clustering_graph(
+        clusters, thresholds, metric=metric, use_density_pruning=pruning
+    )
+    assert edge_set(oracle) == edge_set(kernel)
+    assert oracle.stats == kernel.stats
+
+
+class TestNominalKernel:
+    """Nominal partitions: stacked value histograms, Thm 5.2 by matmul."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(histograms, min_size=1, max_size=12))
+    def test_d2_and_diameter_bit_identical(self, images):
+        partition = AttributePartition("job", ("job",), metric="discrete")
+        clusters = [
+            MixedCluster(uid=i, partition=partition, images={"job": image},
+                         value=next(iter(image.counts)))
+            for i, image in enumerate(images)
+        ]
+        for metric in ("d1", "d2"):
+            kernel = Phase2Kernel(clusters, metric=metric)
+            matrix = kernel.pairwise_on("job")
+            diameters = kernel.image_diameters_on("job")
+            for i, a in enumerate(images):
+                assert diameters[i] == a.diameter
+                for j, b in enumerate(images):
+                    assert matrix[i, j] == a.d2(b)
+
+    @pytest.mark.parametrize("metric", ["d1", "d2"])
+    @pytest.mark.parametrize("pruning", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_graph_matches_oracle(self, metric, pruning, seed):
+        clusters = mixed_population(seed=seed, n_clusters=14)
+        thresholds = {"x": 3.0, "y": 3.0, "job": 0.6, "dept": 0.6}
+        assert_same_graph(clusters, thresholds, metric, pruning)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_mixed_rules_match_per_pair_reference(self, seed):
+        clusters = mixed_population(seed=seed, n_clusters=14)
+        thresholds = {"x": 4.0, "y": 4.0, "job": 0.7, "dept": 0.7}
+        degree = {"x": 6.0, "y": 6.0, "job": 0.5, "dept": 0.5}
+        config = DARConfig(max_antecedent=3, max_consequent=2)
+        graph = build_clustering_graph(clusters, thresholds)
+        kernel = Phase2Kernel(clusters)
+        want = reference_rules(
+            config, graph, maximal_cliques(graph.adjacency), degree
         )
-        assert edge_set(scalar) == edge_set(vector)
-        assert scalar.stats.comparisons == vector.stats.comparisons
-        assert scalar.stats.skipped == vector.stats.skipped
-        assert scalar.stats.edges == vector.stats.edges
+        got = _form_rules(config, graph, degree, kernel)
+        assert want
+        assert listing(got) == listing(want)
+
+
+def listing(rules):
+    return [
+        (str(rule), repr(rule.degree), repr(list(rule.degrees.items())))
+        for rule in rules
+    ]
 
 
 class TestAssocEquivalence:
@@ -233,8 +328,33 @@ class TestAssocEquivalence:
         )
 
 
+def assert_miner_matches_per_pair(result, config, targets=None):
+    """The miner's graph and rules equal the per-pair oracles' over the
+    same frequent clusters and (leniency-scaled) thresholds."""
+    flat = [c for group in result.frequent_clusters.values() for c in group]
+    lenient = {
+        name: config.phase2_leniency * value
+        for name, value in result.density_thresholds.items()
+    }
+    graph = reference_graph(flat, lenient, metric=config.metric)
+    assert edge_set(graph) == edge_set(result.graph)
+    assert graph.stats == result.graph.stats
+    assert result.phase2.comparisons == graph.stats.comparisons
+    assert result.phase2.comparisons_skipped == graph.stats.skipped
+    rules = reference_rules(
+        config, graph, maximal_cliques(graph.adjacency),
+        result.degree_thresholds,
+        targets=None if targets is None else frozenset(targets),
+    )
+    assert [r.key() for r in rules] == [r.key() for r in result.rules]
+    for a, b in zip(rules, result.rules):
+        assert b.degree == pytest.approx(a.degree, abs=1e-9)
+        for uid, value in a.degrees.items():
+            assert b.degrees[uid] == pytest.approx(value, abs=1e-9)
+
+
 class TestMinerEquivalence:
-    """End-to-end: both engines mine identical rule sets."""
+    """End-to-end: the kernel mines what the per-pair oracles give."""
 
     @pytest.mark.parametrize(
         "relation_factory",
@@ -248,31 +368,15 @@ class TestMinerEquivalence:
     )
     @pytest.mark.parametrize("metric", ["d1", "d2"])
     def test_scalar_and_vector_mine_identical_rules(self, relation_factory, metric):
-        relation = relation_factory()
-        scalar = DARMiner(
-            DARConfig(metric=metric, phase2_engine="scalar")
-        ).mine(relation)
-        vector = DARMiner(
-            DARConfig(metric=metric, phase2_engine="vector")
-        ).mine(relation)
-        assert scalar.phase2.engine == "scalar"
-        assert vector.phase2.engine == "vector"
-        assert edge_set(scalar.graph) == edge_set(vector.graph)
-        assert scalar.phase2.comparisons == vector.phase2.comparisons
-        assert (
-            scalar.phase2.comparisons_skipped == vector.phase2.comparisons_skipped
-        )
-        assert [r.key() for r in scalar.rules] == [r.key() for r in vector.rules]
-        for a, b in zip(scalar.rules, vector.rules):
-            assert b.degree == pytest.approx(a.degree, abs=1e-9)
-            for uid, value in a.degrees.items():
-                assert b.degrees[uid] == pytest.approx(value, abs=1e-9)
+        config = DARConfig(metric=metric)
+        result = DARMiner(config).mine(relation_factory())
+        assert result.rules
+        assert_miner_matches_per_pair(result, config)
 
     def test_stats_breakdown_populated(self):
         relation, _ = make_planted_rule_relation(seed=9)
         result = DARMiner().mine(relation)
         phase2 = result.phase2
-        assert phase2.engine == "vector"
         breakdown = phase2.stage_breakdown()
         assert set(breakdown) == {"extract", "graph", "cliques", "rules"}
         assert all(seconds >= 0.0 for seconds in breakdown.values())
@@ -282,13 +386,10 @@ class TestMinerEquivalence:
     def test_targets_equivalent_across_engines(self):
         relation, planted = make_planted_rule_relation(seed=4)
         target = sorted(relation.schema.interval_names())[0]
-        scalar = DARMiner(DARConfig(phase2_engine="scalar")).mine(
-            relation, targets=[target]
-        )
-        vector = DARMiner(DARConfig(phase2_engine="vector")).mine(
-            relation, targets=[target]
-        )
-        assert [r.key() for r in scalar.rules] == [r.key() for r in vector.rules]
+        config = DARConfig()
+        result = DARMiner(config).mine(relation, targets=[target])
+        assert result.rules
+        assert_miner_matches_per_pair(result, config, targets=[target])
 
 
 class TestDegenerateRouting:

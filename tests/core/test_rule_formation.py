@@ -4,9 +4,11 @@ Phase II expands each distinct consequent once, as array work over the
 distance blocks.  ``rules_oracle.reference_rules`` is the clique-pair
 loop it replaced: every consequent sub-clique of every maximal clique,
 per-pair distance lookups, a ``seen`` set.  On random dense populations
-and graphs, with many zero distances (duplicate clusters), both engines
-must give the reference's rule list exactly: descriptions, ``repr``
-degrees, per-consequent ``degrees`` dicts and order.
+and graphs, with many zero distances (duplicate clusters), formation over
+the kernel must give the reference's rule list exactly — descriptions,
+``repr`` degrees, per-consequent ``degrees`` dicts and order — whether
+the reference looks its distances up in the kernel or computes each one
+per pair with ``image_distance`` (the two engines Phase II once had).
 """
 
 import numpy as np
@@ -98,11 +100,12 @@ def listing(rules):
 def test_formation_matches_reference_on_both_engines(case):
     config, clusters, graph, degree, targets = case
     cliques = maximal_cliques(graph.adjacency)
-    for kernel in (None, Phase2Kernel(clusters, metric=config.metric)):
+    kernel = Phase2Kernel(clusters, metric=config.metric)
+    got = _form_rules(config, graph, degree, targets=targets, kernel=kernel)
+    for lookup in (None, kernel):
         want = reference_rules(
-            config, graph, cliques, degree, targets=targets, kernel=kernel
+            config, graph, cliques, degree, targets=targets, kernel=lookup
         )
-        got = _form_rules(config, graph, degree, targets=targets, kernel=kernel)
         assert listing(got) == listing(want)
 
 
@@ -120,13 +123,14 @@ def test_complete_graph_reaches_every_arity(max_antecedent, max_consequent, limi
         max_antecedent_candidates=limit,
     )
     cliques = maximal_cliques(graph.adjacency)
-    for kernel in (None, Phase2Kernel(clusters)):
-        got = _form_rules(config, graph, degree, kernel=kernel)
+    kernel = Phase2Kernel(clusters)
+    got = _form_rules(config, graph, degree, kernel=kernel)
+    for lookup in (None, kernel):
         assert listing(got) == listing(
-            reference_rules(config, graph, cliques, degree, kernel=kernel)
+            reference_rules(config, graph, cliques, degree, kernel=lookup)
         )
-        assert max(len(rule.antecedent) for rule in got) == min(max_antecedent, limit)
-        assert max(len(rule.consequent) for rule in got) == max_consequent
+    assert max(len(rule.antecedent) for rule in got) == min(max_antecedent, limit)
+    assert max(len(rule.consequent) for rule in got) == max_consequent
 
 
 @settings(max_examples=60, deadline=None)

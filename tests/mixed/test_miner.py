@@ -144,6 +144,26 @@ class TestMining:
         values = {cluster.value for cluster in result.clusters["job"]}
         assert "intern" not in values and "ceo" not in values
 
+    def test_non_string_values_mine_like_their_string_twin(self):
+        """Every histogram on a nominal partition is keyed by the raw
+        values, so an int column mines the rules its string rendering
+        does (a key mismatch reads D2 = 1 and drops every salary => job
+        rule)."""
+        rng = np.random.default_rng(0)
+        jobs = np.repeat([1, 2, 3], 100).tolist()
+        salary = np.concatenate([rng.normal(m, 1.0, 100) for m in (10, 50, 90)])
+        schema = Schema.of(job="nominal", salary="interval")
+
+        def descriptions(column):
+            relation = Relation(schema, {"job": column, "salary": salary})
+            return [str(rule) for rule in MixedDARMiner().mine_mixed(relation).rules]
+
+        as_ints = descriptions(jobs)
+        assert as_ints == descriptions([str(job) for job in jobs])
+        assert any(
+            rule.startswith("C0(salary") and "job=1" in rule for rule in as_ints
+        )
+
     def test_empty_relation_rejected(self):
         with pytest.raises(ValueError):
             MixedDARMiner().mine_mixed(

@@ -265,6 +265,27 @@ def test_resume_checkpoint_recording_retired_scan_chunk_rows(tmp_path, value):
     assert rule_signature(resumed.rules()) == rule_signature(full.rules())
 
 
+@pytest.mark.parametrize("engine", ["auto", "vector", "scalar"])
+def test_resume_checkpoint_recording_retired_phase2_engine(tmp_path, engine):
+    """``DARConfig.phase2_engine`` is gone; checkpoints that still record
+    any of its values resume to the uninterrupted run's trees and rules."""
+    batches = make_batches(4)
+    path = tmp_path / "old.ckpt"
+    full = StreamingDARMiner(PARTITIONS, DARConfig())
+    for index, batch in enumerate(batches):
+        full.update_arrays(batch)
+        if index == 1:
+            state = full.state_dict()
+    state["config"]["phase2_engine"] = engine
+    write_checkpoint(state, path)
+
+    resumed = StreamingDARMiner.from_checkpoint(path)
+    for batch in batches[2:]:
+        resumed.update_arrays(batch)
+    assert leaf_moments(resumed) == leaf_moments(full)
+    assert rule_signature(resumed.rules()) == rule_signature(full.rules())
+
+
 def test_resume_preserves_scan_stats_and_counters(tmp_path):
     batches = make_batches(3)
     path = tmp_path / "stream.ckpt"

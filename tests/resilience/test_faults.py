@@ -2,8 +2,8 @@
 
 Kills scans mid-batch, fails the Phase II kernel, poisons inputs — and
 verifies the resilience layer turns each fault into the behavior the
-design promises: resume-equivalence, graceful degradation with recorded
-events, exact quarantine.
+design promises: resume-equivalence, loud Phase II failures that leave
+the miner reusable, exact quarantine.
 """
 
 from __future__ import annotations
@@ -168,40 +168,37 @@ def test_kill_at_update_entry_loses_nothing(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Phase II kernel failure → scalar fallback
+# Phase II kernel failure → a loud error, no degradation
 # ----------------------------------------------------------------------
 
 
-def test_streaming_rules_degrade_to_scalar_on_kernel_fault():
+def test_streaming_kernel_fault_propagates_then_recovers():
     batches = make_batches(3)
-    miner = StreamingDARMiner(PARTITIONS, DARConfig(phase2_engine="auto"))
+    miner = StreamingDARMiner(PARTITIONS)
     for batch in batches:
         miner.update_arrays(batch)
 
     clean = miner.rules()
-    assert clean.phase2.engine == "vector"
-
     with faults.injected(
         faults.FaultInjector().fail_at("phase2.kernel", message="kernel crash")
     ):
-        degraded = miner.rules()
-    assert degraded.phase2.engine == "scalar"
-    assert any("kernel crash" in event for event in degraded.phase2.events)
-    assert rule_signature(degraded) == rule_signature(clean)
+        with pytest.raises(InjectedFault, match="kernel crash"):
+            miner.rules()
+    # The fault left the trees untouched: the next call mines clean rules.
+    again = miner.rules()
+    assert again.phase2.events == []
+    assert rule_signature(again) == rule_signature(clean)
 
 
-def test_batch_miner_degrades_to_scalar_on_kernel_fault():
+def test_batch_miner_kernel_fault_propagates():
     relation, _ = make_planted_rule_relation(seed=7, points_per_mode=40)
-    clean = DARMiner().mine(relation)
-    assert clean.phase2.engine == "vector"
-
     with faults.injected(faults.FaultInjector().fail_at("phase2.kernel")):
-        degraded = repro.mine(relation)
-    assert degraded.phase2.engine == "scalar"
-    assert any("scalar engine" in event for event in degraded.phase2.events)
-    assert [str(r) for r in degraded.rules] == [str(r) for r in clean.rules]
-    # The degradation also rides through the JSON export.
-    assert degraded.to_dict()["phase2"]["events"] == degraded.phase2.events
+        with pytest.raises(InjectedFault):
+            DARMiner().mine(relation)
+    # The guard ladder has no rung for it either.
+    with faults.injected(faults.FaultInjector().fail_at("phase2.kernel")):
+        with pytest.raises(InjectedFault):
+            repro.mine(relation)
 
 
 # ----------------------------------------------------------------------

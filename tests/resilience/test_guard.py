@@ -195,10 +195,10 @@ class TestGuardEvent:
     def test_to_dict_carries_kind_and_timestamp(self):
         from repro.resilience.events import GuardEvent
 
-        event = GuardEvent("kernel_fallback", "degraded to the scalar engine")
+        event = GuardEvent("columnar_fallback", "retried in memory")
         out = event.to_dict()
-        assert out["kind"] == "kernel_fallback"
-        assert out["detail"] == "degraded to the scalar engine"
+        assert out["kind"] == "columnar_fallback"
+        assert out["detail"] == "retried in memory"
         assert out["at_iso"].endswith("Z")
 
     def test_record_increments_the_metric_and_logs(self):
