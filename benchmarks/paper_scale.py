@@ -36,11 +36,10 @@ CAP_BYTES = 5 * 2**20  # the paper's 5 MB cap
 SIZES = (25_000, 100_000, 500_000)
 
 
-def mine_once(size: int, capped: bool) -> dict:
-    """Mine the 30-attribute run once; return the row's measurements."""
+def workload(size: int, capped: bool):
+    """The 30-attribute run's ``(relation, partitions, config)``."""
     from repro.birch.birch import BirchOptions
     from repro.core.config import DARConfig
-    from repro.core.miner import DARMiner
     from repro.data.relation import AttributePartition
     from repro.data.wbcd import make_scaled_wbcd, make_wbcd_like
 
@@ -53,6 +52,14 @@ def mine_once(size: int, capped: bool) -> dict:
         max_consequent=1,
         birch=BirchOptions(memory_limit_bytes=CAP_BYTES if capped else None),
     )
+    return relation, partitions, config
+
+
+def mine_once(size: int, capped: bool) -> dict:
+    """Mine the 30-attribute run once; return the row's measurements."""
+    from repro.core.miner import DARMiner
+
+    relation, partitions, config = workload(size, capped)
     started = time.perf_counter()
     result = DARMiner(config).mine(relation, partitions)
     return {

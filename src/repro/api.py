@@ -68,8 +68,8 @@ def mine(
     :class:`~repro.data.columnar.ColumnStore` constructors): Phase I then
     scans it chunk by chunk so datasets larger than RAM mine in bounded
     memory, and a columnar backend failure degrades to an in-memory
-    retry (recorded in ``result.phase2.events``).  Out-of-core runs use
-    the serial engine — pass ``engine="serial"`` (the default).
+    retry (recorded in ``result.phase2.events``).  Either engine mines a
+    store; parallel workers map its column files read-only.
 
     ``config`` — a :class:`DARConfig`, a mapping of its fields, or ``None``
     for the paper's defaults.  ``partitions`` — the attribute partitioning
@@ -91,13 +91,6 @@ def mine(
     """
     from repro.resilience.guard import guarded_mine
 
-    if isinstance(relation, ColumnStore) and engine != "serial":
-        raise ValueError(
-            "out-of-core mining (a ColumnStore input) runs on the serial "
-            "engine; the parallel engine would materialize every column "
-            "into shared memory — pass engine='serial', or materialize "
-            "explicitly with store.to_relation()"
-        )
     if config is None:
         config = DARConfig()
     elif isinstance(config, Mapping):

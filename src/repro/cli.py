@@ -604,12 +604,6 @@ def _run_mine(args: argparse.Namespace, capture: Optional[dict] = None) -> int:
         from repro.parallel.executor import resolve_workers
 
         workers = resolve_workers(0)
-    if out_of_core and workers > 1:
-        raise ValueError(
-            "--workers is not supported together with --out-of-core (the "
-            "parallel engine would materialize every column into shared "
-            "memory); drop --workers to mine out of core serially"
-        )
     checkpoint_infos = []
     stream_miner = None
     if args.checkpoint or args.resume:
@@ -1024,7 +1018,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # Worker pools and shared-memory segments are owned by context
+        # Worker pools and Phase I spill directories are owned by context
         # managers inside the miner, so they are already released by the
         # time the interrupt unwinds to here; output files are written
         # atomically, so none is left half-finished.

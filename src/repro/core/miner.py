@@ -20,8 +20,13 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.birch.batch import ScanStats
-from repro.birch.birch import BirchClusterer, Phase1Stats, assign_to_centroids
-from repro.birch.features import CF
+from repro.birch.birch import (
+    BirchClusterer,
+    BirchOptions,
+    Phase1Stats,
+    assign_to_centroids,
+)
+from repro.birch.features import ACF, CF
 from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
 from repro.core.graph import ClusteringGraph
@@ -34,7 +39,7 @@ from repro.data.relation import AttributePartition, Relation, default_partitions
 from repro.obs.trace import span
 from repro.resilience.errors import ValidationError
 
-__all__ = ["DARMiner", "DARResult", "Phase2Stats"]
+__all__ = ["DARMiner", "DARResult", "Phase2Stats", "fit_partition"]
 
 
 @dataclass
@@ -242,44 +247,20 @@ class DARMiner:
     ]:
         """Cluster every partition; returns (stats, all, frequent) by name.
 
-        This is the "what to compute" of Phase I: one independent
-        clustering task per attribute partition, executed here serially in
-        ``partition_list`` order.  :class:`repro.parallel.ParallelDARMiner`
-        overrides only this method (and :meth:`_make_kernel`) to fan the
-        same tasks out over a worker pool — cluster uids are assigned from
-        a fresh counter in ``partition_list`` order either way, so the two
-        paths produce identical cluster populations.
+        The scans come from :meth:`_fit_partitions`; cluster uids are then
+        assigned from a fresh counter in ``partition_list`` order, so the
+        cluster population does not depend on where the scans ran.
         """
+        fits = self._fit_partitions(partition_list, matrices, density)
         phase1_stats: Dict[str, Phase1Stats] = {}
         all_clusters: Dict[str, List[Cluster]] = {}
         frequent_clusters: Dict[str, List[Cluster]] = {}
         uid = itertools.count()
-        # Out-of-core runs scan through one re-iterable chunk iterator over
-        # all partition matrices (memory-mapped views), so every
-        # clusterer's pass streams the same fixed-size chunks instead of
-        # touching whole columns at once.
-        chunks: Optional[ChunkIterator] = None
-        if self._chunk_rows is not None:
-            chunks = ChunkIterator(dict(matrices), self._chunk_rows)
         for partition in partition_list:
-            others = [p for p in partition_list if p.name != partition.name]
-            options = replace(
-                self.config.birch,
-                initial_threshold=density[partition.name],
-                frequency_fraction=self.config.frequency_fraction,
-            )
-            clusterer = BirchClusterer(partition, others, options)
-            if chunks is not None:
-                result = clusterer.fit_chunks(chunks)
-            else:
-                result = clusterer.fit_arrays(
-                    matrices[partition.name],
-                    {p.name: matrices[p.name] for p in others},
-                )
-            phase1_stats[partition.name] = result.stats
+            acfs, phase1_stats[partition.name] = fits[partition.name]
             clusters = [
                 Cluster(uid=next(uid), partition=partition, acf=acf)
-                for acf in result.clusters
+                for acf in acfs
             ]
             all_clusters[partition.name] = clusters
             frequent = [c for c in clusters if c.n >= frequency_count]
@@ -288,6 +269,40 @@ class DARMiner:
             if frequent:
                 frequent_clusters[partition.name] = frequent
         return phase1_stats, all_clusters, frequent_clusters
+
+    def _fit_partitions(
+        self,
+        partition_list: Sequence[AttributePartition],
+        matrices: Mapping[str, np.ndarray],
+        density: Mapping[str, float],
+    ) -> Dict[str, Tuple[List[ACF], Phase1Stats]]:
+        """One Phase I scan per partition: ``name -> (clusters, stats)``.
+
+        Serial here, in ``partition_list`` order;
+        :class:`repro.parallel.ParallelDARMiner` overrides only this method
+        (and :meth:`_make_kernel`) to run the same :func:`fit_partition`
+        calls in worker processes.
+        """
+        return {
+            partition.name: fit_partition(
+                partition,
+                partition_list,
+                self._phase1_options(partition, density),
+                matrices,
+                self._chunk_rows,
+            )
+            for partition in partition_list
+        }
+
+    def _phase1_options(
+        self, partition: AttributePartition, density: Mapping[str, float]
+    ) -> BirchOptions:
+        """The partition's clusterer options: its ``d0`` as first threshold."""
+        return replace(
+            self.config.birch,
+            initial_threshold=density[partition.name],
+            frequency_fraction=self.config.frequency_fraction,
+        )
 
     def _make_kernel(self, flat_frequent: Sequence[Cluster]) -> Phase2Kernel:
         """Construct the vector Phase II kernel over the frequent clusters.
@@ -389,3 +404,28 @@ class DARMiner:
             for index, cluster in enumerate(clusters):
                 masks[cluster.uid] = labels == index
         return masks
+
+
+def fit_partition(
+    partition: AttributePartition,
+    partition_list: Sequence[AttributePartition],
+    options: BirchOptions,
+    matrices: Mapping[str, np.ndarray],
+    chunk_rows: Optional[int] = None,
+) -> Tuple[List[ACF], Phase1Stats]:
+    """One partition's Phase I scan, in the miner or in a pool worker.
+
+    The other partitions' matrices feed the cross moments.  With
+    ``chunk_rows`` the scan streams fixed-size chunks, so one chunk of each
+    (memory-mapped) matrix is resident at a time; chunk cuts never change
+    the tree.
+    """
+    others = [p for p in partition_list if p.name != partition.name]
+    clusterer = BirchClusterer(partition, others, options)
+    if chunk_rows is not None:
+        result = clusterer.fit_chunks(ChunkIterator(dict(matrices), chunk_rows))
+    else:
+        result = clusterer.fit_arrays(
+            matrices[partition.name], {p.name: matrices[p.name] for p in others}
+        )
+    return result.clusters, result.stats

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -188,12 +188,9 @@ class MixedDARMiner(DARMiner):
 
         for partition in interval_partitions:
             others = [p for p in interval_partitions if p.name != partition.name]
-            options = replace(
-                self.config.birch,
-                initial_threshold=density[partition.name],
-                frequency_fraction=self.config.frequency_fraction,
+            clusterer = BirchClusterer(
+                partition, others, self._phase1_options(partition, density)
             )
-            clusterer = BirchClusterer(partition, others, options)
             result = clusterer.fit_arrays(
                 matrices[partition.name],
                 {p.name: matrices[p.name] for p in others},
@@ -227,18 +224,20 @@ class MixedDARMiner(DARMiner):
         nominal_masks: Dict[int, np.ndarray] = {}
         for partition in nominal_partitions:
             column = nominal_columns[partition.name]
-            # Group on the rendered value (sortable for any value type), but
-            # key every histogram by the raw values, as the other images on
-            # this partition are: one value domain per partition.
-            keys = column.astype(str)
-            groups, first, counts = np.unique(
-                keys, return_index=True, return_counts=True
-            )
+            # Group on the raw values, as every histogram counts them, so
+            # each cluster is value-pure (Thm 5.1) even where two values
+            # render alike (1 and "1"); groups run in rendered order.
+            rows_of: Dict[object, List[int]] = {}
+            for row, value in enumerate(column.tolist()):
+                rows_of.setdefault(value, []).append(row)
             partition_clusters = []
-            for key, at, count in zip(groups, first, counts):
-                if count < frequency_count:
+            for rows in sorted(
+                rows_of.values(), key=lambda rows: (str(column[rows[0]]), rows[0])
+            ):
+                if len(rows) < frequency_count:
                     continue
-                mask = keys == key
+                mask = np.zeros(n, dtype=bool)
+                mask[rows] = True
                 images = {
                     partition.name: NominalFeature.of_values(column[mask])
                 }
@@ -252,7 +251,7 @@ class MixedDARMiner(DARMiner):
                     uid=next(uid),
                     partition=partition,
                     images=images,
-                    value=column[at],
+                    value=column[rows[0]],
                 )
                 nominal_masks[cluster.uid] = mask
                 partition_clusters.append(cluster)

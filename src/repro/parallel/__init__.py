@@ -9,17 +9,19 @@ the serial engine — the equivalence suite pins bit-identical rules.
 Layering (what vs. where):
 
 * :mod:`repro.parallel.tasks` — task descriptions and worker entry
-  points (*what to compute*);
+  points (*what to compute*); a task names the on-disk file region of
+  every partition matrix (:class:`~repro.parallel.tasks.MatrixFile`),
+  which the worker maps read-only, so no row data is pickled;
 * :mod:`repro.parallel.executor` — the interchangeable backends
   (*where it runs*): serial in-process, or a process pool;
-* :mod:`repro.parallel.shared` — shared-memory transport for the row
-  matrices (no pickling of row data);
 * :mod:`repro.parallel.kernel` — the tiled Phase II kernel;
 * :mod:`repro.parallel.miner` — :class:`ParallelDARMiner`, the
   coordinator that merges worker results.
 
 Entry points: ``repro.mine(relation, engine="parallel", workers=N)`` or
-``repro mine data.csv --workers N`` on the command line.  Pool failures
+``repro mine data.csv --workers N`` on the command line; both accept an
+in-memory relation or a :class:`~repro.data.columnar.ColumnStore`
+(``--out-of-core``).  Pool failures
 degrade to the serial engine through the resilience ladder
 (:func:`repro.resilience.guard.guarded_mine`), recorded in
 ``result.phase2.events``.
@@ -32,9 +34,9 @@ from repro.parallel.executor import (
 )
 from repro.parallel.kernel import ParallelPhase2Kernel
 from repro.parallel.miner import ParallelDARMiner
-from repro.parallel.shared import SharedMatrixHandle, SharedMatrixStore, attach_matrices
 from repro.parallel.tasks import (
     KILL_WORKER_ENV,
+    MatrixFile,
     Phase1Task,
     Phase2Tile,
     run_phase1_task,
@@ -47,10 +49,8 @@ __all__ = [
     "ProcessPoolBackend",
     "ParallelPhase2Kernel",
     "ParallelDARMiner",
-    "SharedMatrixHandle",
-    "SharedMatrixStore",
-    "attach_matrices",
     "KILL_WORKER_ENV",
+    "MatrixFile",
     "Phase1Task",
     "Phase2Tile",
     "run_phase1_task",

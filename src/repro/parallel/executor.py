@@ -2,8 +2,8 @@
 
 The task layer (:mod:`repro.parallel.tasks`) describes *what* to compute;
 this module supplies the interchangeable "where": :class:`SerialBackend`
-runs tasks inline in submission order (the ``workers=1`` degenerate case
-— and the proof that the task model adds nothing to the math), and
+runs tasks inline in submission order (the ``workers=1`` backend, whose
+miner skips tasks and runs the serial loops), and
 :class:`ProcessPoolBackend` fans them out over a
 ``concurrent.futures.ProcessPoolExecutor``.  Both present one method,
 :meth:`ExecutorBackend.map_tasks`, which preserves input order in its
@@ -12,8 +12,8 @@ either backend, and a future distributed backend only has to honor the
 same contract.
 
 Failure semantics: infrastructure failures (a worker process dying →
-``BrokenProcessPool``, the pool failing to start, a shared-memory attach
-error) surface as :class:`~repro.resilience.errors.WorkerPoolError`, the
+``BrokenProcessPool``, the pool failing to start, an OS error in the
+pool) surface as :class:`~repro.resilience.errors.WorkerPoolError`, the
 class the degradation ladder catches to retry serially.  Errors raised
 *by the task itself* (``ValidationError`` on bad data, for instance)
 propagate unchanged — they would recur on the serial engine, so masking

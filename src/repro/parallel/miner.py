@@ -4,15 +4,15 @@
 and overrides exactly the two hooks the serial miner exposes for this
 purpose:
 
-* :meth:`~repro.core.miner.DARMiner._run_phase1` — builds one
-  :class:`~repro.parallel.tasks.Phase1Task` per attribute partition,
-  publishes the data matrices into shared memory, and fans the tasks out
-  over the executor backend.  Workers run the unchanged
-  ``BirchClusterer``/``BatchInserter`` scan and return ACF ``state_dict``
-  payloads; the coordinator rebuilds the clusters (bit-exact, by the same
-  float64 JSON round-trip the checkpoint layer relies on) and assigns
-  uids from a fresh counter in partition-list order — exactly the serial
-  uid assignment, so everything downstream is decision-identical.
+* :meth:`~repro.core.miner.DARMiner._fit_partitions` — ships one
+  :class:`~repro.parallel.tasks.Phase1Task` per attribute partition to
+  the pool.  Row data stays on disk: a task names each partition
+  matrix's file region (:class:`~repro.parallel.tasks.MatrixFile`) — the
+  files a :class:`~repro.data.columnar.ColumnStore` already maps, or raw
+  files an in-memory relation is spilled into, in a temp directory
+  removed when Phase I ends — and the worker maps them read-only, runs
+  :func:`~repro.core.miner.fit_partition` and returns ACF ``state_dict``
+  payloads (a bit-exact float64 round-trip).
 * :meth:`~repro.core.miner.DARMiner._make_kernel` — returns a
   :class:`~repro.parallel.kernel.ParallelPhase2Kernel` that tiles the
   blocked pairwise computation over the same pool.
@@ -28,18 +28,18 @@ the serial result uses).  Second, Phase II tiles reuse the serial block
 boundaries and the shared :func:`~repro.core.phase2_kernel.pairwise_block`
 function, so assembled distance matrices are bit-identical.
 
-``workers=1`` (or a single partition) uses the
-:class:`~repro.parallel.executor.SerialBackend` — the serial path *is*
-the one-worker backend of the same task model.  Pool failures surface as
+``workers=1`` runs the serial miner's own in-process loops: nothing is
+spilled, shipped or round-tripped.  Pool failures surface as
 :class:`~repro.resilience.errors.WorkerPoolError` for the degradation
-ladder to catch.
+ladder to catch; a store file a worker cannot map surfaces as
+:class:`~repro.resilience.errors.ColumnStoreError`, as it would serially.
 """
 
 from __future__ import annotations
 
-import itertools
+import tempfile
 import time
-from dataclasses import replace
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,8 +64,8 @@ from repro.parallel.executor import (
     resolve_workers,
 )
 from repro.parallel.kernel import ParallelPhase2Kernel
-from repro.parallel.shared import SharedMatrixStore
-from repro.parallel.tasks import Phase1Task, run_phase1_task
+from repro.parallel.tasks import MatrixFile, Phase1Task, run_phase1_task
+from repro.resilience.errors import ColumnStoreError, WorkerPoolError
 
 __all__ = ["ParallelDARMiner"]
 
@@ -142,83 +142,61 @@ class ParallelDARMiner(DARMiner):
     # Hook overrides
     # ------------------------------------------------------------------
 
-    def _run_phase1(
+    def _fit_partitions(
         self,
         partition_list: Sequence[AttributePartition],
         matrices: Mapping[str, np.ndarray],
         density: Mapping[str, float],
-        frequency_count: int,
-    ) -> Tuple[
-        Dict[str, Phase1Stats],
-        Dict[str, List[Cluster]],
-        Dict[str, List[Cluster]],
-    ]:
-        """Fan one clustering task per partition out over the backend."""
+    ) -> Dict[str, Tuple[List[ACF], Phase1Stats]]:
+        """Fan one clustering task per partition out over the pool."""
         assert self._backend is not None, "mine() owns the backend lifecycle"
         backend = self._backend
+        if backend.n_workers <= 1:
+            return super()._fit_partitions(partition_list, matrices, density)
         trace_on = obs_trace.tracing_enabled()
         metrics_on = obs_metrics.metrics_enabled()
         log_on = obs_log.logging_enabled()
         ambient = obs_context.current()
         context_state = ambient.to_dict() if ambient is not None else None
-        isolated = backend.n_workers > 1
-        with SharedMatrixStore() as store:
-            store.put_all(matrices)
-            descriptor = store.descriptor()
-            tasks = []
-            for partition in partition_list:
-                others = tuple(
-                    p for p in partition_list if p.name != partition.name
+        with tempfile.TemporaryDirectory(prefix="repro-phase1-") as spill:
+            files, spilled_bytes = _matrix_files(matrices, Path(spill))
+            tasks = [
+                Phase1Task(
+                    partition=partition,
+                    partitions=tuple(partition_list),
+                    options=self._phase1_options(partition, density),
+                    files=files,
+                    chunk_rows=self._chunk_rows,
+                    trace=trace_on,
+                    metrics=metrics_on,
+                    log=log_on,
+                    context=context_state,
                 )
-                options = replace(
-                    self.config.birch,
-                    initial_threshold=density[partition.name],
-                    frequency_fraction=self.config.frequency_fraction,
-                )
-                tasks.append(
-                    Phase1Task(
-                        partition=partition,
-                        others=others,
-                        options=options,
-                        descriptor=descriptor,
-                        trace=trace_on and isolated,
-                        metrics=metrics_on and isolated,
-                        log=log_on and isolated,
-                        context=context_state,
-                        isolated=isolated,
-                    )
-                )
+                for partition in partition_list
+            ]
             with span(
                 "phase1.scatter",
                 tasks=len(tasks),
                 workers=backend.n_workers,
-                shared_bytes=store.n_bytes,
+                spilled_bytes=spilled_bytes,
             ) as scatter_span:
                 dispatch_base = time.perf_counter()
-                payloads = backend.map_tasks(run_phase1_task, tasks)
+                try:
+                    payloads = backend.map_tasks(run_phase1_task, tasks)
+                except ColumnStoreError as error:
+                    if self._chunk_rows is not None:
+                        raise  # a store file is gone: the columnar rung's case
+                    raise WorkerPoolError(
+                        f"a worker could not map a spilled matrix: {error}"
+                    ) from error
                 self._merge_worker_obs(payloads, scatter_span, dispatch_base)
-
-        phase1_stats: Dict[str, Phase1Stats] = {}
-        all_clusters: Dict[str, List[Cluster]] = {}
-        frequent_clusters: Dict[str, List[Cluster]] = {}
-        by_name = {payload["partition"]: payload for payload in payloads}
-        uid = itertools.count()
-        for partition in partition_list:
-            payload = by_name[partition.name]
-            phase1_stats[partition.name] = _stats_from_payload(payload)
-            clusters = [
-                Cluster(
-                    uid=next(uid), partition=partition, acf=ACF.from_state(state)
-                )
-                for state in payload["clusters"]
-            ]
-            all_clusters[partition.name] = clusters
-            frequent = [c for c in clusters if c.n >= frequency_count]
-            # "If for some X_i there are no frequent clusters, we omit X_i
-            # from consideration in Phase II."
-            if frequent:
-                frequent_clusters[partition.name] = frequent
-        return phase1_stats, all_clusters, frequent_clusters
+        return {
+            payload["partition"]: (
+                [ACF.from_state(state) for state in payload["clusters"]],
+                payload["stats"],
+            )
+            for payload in payloads
+        }
 
     def _make_kernel(self, flat_frequent: Sequence[Cluster]) -> Phase2Kernel:
         """A Phase II kernel whose blocks tile across the pool."""
@@ -256,8 +234,30 @@ class ParallelDARMiner(DARMiner):
                 obs_log.get_logger().ingest(records)
 
 
-def _stats_from_payload(payload) -> Phase1Stats:
-    """Decode the worker's serialized Phase I stats."""
-    from repro.parallel.tasks import phase1_stats_from_dict
 
-    return phase1_stats_from_dict(payload["stats"])
+def _matrix_files(
+    matrices: Mapping[str, np.ndarray], spill: Path
+) -> Tuple[Dict[str, MatrixFile], int]:
+    """Each matrix's file region, spilling in-memory ones under ``spill``.
+
+    Memory-mapped matrices (a :class:`~repro.data.columnar.ColumnStore`'s)
+    are described where they already live; the rest are written as raw
+    float64 files.  Returns the descriptors and the bytes spilled.
+    """
+    files: Dict[str, MatrixFile] = {}
+    spilled = 0
+    for index, (name, matrix) in enumerate(sorted(matrices.items())):
+        found = MatrixFile.of(matrix)
+        if found is None:
+            data = np.ascontiguousarray(matrix, dtype=np.float64)
+            path = spill / f"m{index:04d}.bin"
+            try:
+                data.tofile(path)
+            except OSError as error:
+                raise WorkerPoolError(
+                    f"could not spill partition {name!r} for the workers: {error}"
+                ) from error
+            found = MatrixFile(str(path), 0, data.shape)
+            spilled += data.nbytes
+        files[name] = found
+    return files, spilled

@@ -9,13 +9,14 @@ worker entry points (:func:`run_phase1_task`, :func:`run_phase2_tile`)
 are plain top-level functions so ``ProcessPoolExecutor`` can pickle
 references to them under any start method.
 
-Everything that crosses the process boundary is plain built-ins or small
-numpy arrays: row data travels through shared memory
-(:mod:`repro.parallel.shared`), clusters come back as ACF ``state_dict``
-payloads (bit-exact float64 round-trip, the same format the checkpoint
-layer relies on), scan statistics as :meth:`ScanStats.to_dict` rows, and
-observability as a metrics-registry dump plus exported span rows that the
-coordinator folds into its own registry/tracer.
+No row data crosses the process boundary: it stays on disk, and a task
+carries one :class:`MatrixFile` (path, offset, shape, dtype) per partition
+matrix that the worker maps read-only.  Clusters come back as ACF
+``state_dict`` payloads (a bit-exact float64 round-trip, and about five
+times cheaper to pickle than ACF objects with their many small arrays),
+``Phase1Stats`` pickled, and observability as a metrics-registry dump plus
+exported span rows that the coordinator folds into its own
+registry/tracer.
 
 Worker-death testing: when the ``REPRO_PARALLEL_KILL_WORKER``
 environment variable names a partition, the worker assigned that
@@ -32,23 +33,20 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.birch.batch import ScanStats
-from repro.birch.birch import BirchClusterer, BirchOptions, Phase1Stats
-from repro.birch.features import ACF
-from repro.birch.outliers import ReplayReport
+from repro.birch.birch import BirchOptions
+from repro.core.miner import fit_partition
 from repro.core.phase2_kernel import pairwise_block
 from repro.data.relation import AttributePartition
-from repro.parallel.shared import SharedMatrixHandle, attach_matrices
 from repro.resilience import faults
+from repro.resilience.errors import ColumnStoreError
 
 __all__ = [
     "KILL_WORKER_ENV",
+    "MatrixFile",
     "Phase1Task",
     "Phase2Tile",
     "run_phase1_task",
     "run_phase2_tile",
-    "phase1_stats_to_dict",
-    "phase1_stats_from_dict",
 ]
 
 #: Set this env var to a partition name to make the worker holding that
@@ -58,28 +56,73 @@ KILL_WORKER_ENV = "REPRO_PARALLEL_KILL_WORKER"
 
 
 @dataclass(frozen=True)
+class MatrixFile:
+    """Where one partition matrix lives on disk, as a read-only map recipe.
+
+    The coordinator ships one of these per partition matrix instead of the
+    rows: the column part or stacked ``.npy`` a
+    :class:`~repro.data.columnar.ColumnStore` matrix already maps, or a
+    raw file the coordinator spilled an in-memory matrix into.
+    """
+
+    path: str
+    offset: int
+    shape: Tuple[int, ...]
+    dtype: str = "<f8"
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> Optional["MatrixFile"]:
+        """The file region ``matrix`` views, or ``None`` if it is not mapped."""
+        root = matrix
+        while isinstance(root.base, np.ndarray):
+            root = root.base  # down to the array that holds the mapping
+        if (
+            not isinstance(root, np.memmap)
+            or root.filename is None
+            or not matrix.flags.c_contiguous
+        ):
+            return None
+        start = matrix.__array_interface__["data"][0]
+        origin = root.__array_interface__["data"][0]
+        return cls(
+            str(root.filename), root.offset + start - origin, matrix.shape,
+            matrix.dtype.str,
+        )
+
+    def open(self) -> np.ndarray:
+        """Map the region read-only, as a plain ndarray view (no memmap
+        subclass hooks on every slice); a missing or short file is a
+        :class:`~repro.resilience.errors.ColumnStoreError`."""
+        try:
+            return np.asarray(np.memmap(
+                self.path, dtype=self.dtype, mode="r", offset=self.offset,
+                shape=self.shape,
+            ))
+        except (OSError, ValueError) as error:
+            raise ColumnStoreError(
+                f"{self.path}: cannot map partition matrix: {error}"
+            ) from error
+
+
+@dataclass(frozen=True)
 class Phase1Task:
     """One partition's Phase I clustering pass, as shippable data.
 
-    Carries exactly what :meth:`repro.core.miner.DARMiner._run_phase1`
-    feeds ``BirchClusterer`` for this partition — the partition, the
-    cross partitions, the resolved options — plus the shared-memory
-    descriptor to map the row data and the observability switches the
-    worker should mirror.  ``isolated`` is false when the task runs
-    inside the coordinator (the one-worker serial backend): its spans and
-    metrics then land in the coordinator's own recorders, which must not
-    be reset.
+    Carries exactly what :meth:`repro.core.miner.DARMiner._fit_partitions`
+    feeds :func:`~repro.core.miner.fit_partition` for this partition, with
+    a :class:`MatrixFile` in place of each matrix, plus the observability
+    switches the worker should mirror.
     """
 
     partition: AttributePartition
-    others: Tuple[AttributePartition, ...]
+    partitions: Tuple[AttributePartition, ...]
     options: BirchOptions
-    descriptor: Mapping[str, SharedMatrixHandle]
+    files: Mapping[str, MatrixFile]
+    chunk_rows: Optional[int] = None
     trace: bool = False
     metrics: bool = False
     log: bool = False
     context: Optional[Mapping[str, Any]] = None
-    isolated: bool = True
 
 
 @dataclass(frozen=True)
@@ -97,58 +140,6 @@ class Phase2Tile:
     ss: np.ndarray
     start: int
     stop: int
-
-
-def phase1_stats_to_dict(stats: Phase1Stats) -> Dict[str, Any]:
-    """``Phase1Stats`` as plain built-ins (crosses the process boundary)."""
-    replay: Optional[Dict[str, Any]] = None
-    if stats.replay is not None:
-        replay = {
-            "absorbed": stats.replay.absorbed,
-            "confirmed_outliers": [
-                acf.state_dict() for acf in stats.replay.confirmed_outliers
-            ],
-        }
-    return {
-        "points_inserted": stats.points_inserted,
-        "rebuilds": stats.rebuilds,
-        "threshold_history": list(stats.threshold_history),
-        "pages_out": stats.pages_out,
-        "paged_entries": stats.paged_entries,
-        "replay": replay,
-        "seconds": stats.seconds,
-        "final_entry_count": stats.final_entry_count,
-        "final_tree_bytes": stats.final_tree_bytes,
-        "scan": stats.scan.to_dict() if stats.scan is not None else None,
-    }
-
-
-def phase1_stats_from_dict(state: Mapping[str, Any]) -> Phase1Stats:
-    """Rebuild :meth:`phase1_stats_to_dict` output, ACFs bit-exact."""
-    replay: Optional[ReplayReport] = None
-    if state.get("replay") is not None:
-        replay = ReplayReport(
-            absorbed=int(state["replay"]["absorbed"]),
-            confirmed_outliers=[
-                ACF.from_state(acf)
-                for acf in state["replay"]["confirmed_outliers"]
-            ],
-        )
-    scan: Optional[ScanStats] = None
-    if state.get("scan") is not None:
-        scan = ScanStats.from_dict(state["scan"])
-    return Phase1Stats(
-        points_inserted=int(state["points_inserted"]),
-        rebuilds=int(state["rebuilds"]),
-        threshold_history=list(state["threshold_history"]),
-        pages_out=int(state["pages_out"]),
-        paged_entries=int(state["paged_entries"]),
-        replay=replay,
-        seconds=float(state["seconds"]),
-        final_entry_count=int(state["final_entry_count"]),
-        final_tree_bytes=int(state["final_tree_bytes"]),
-        scan=scan,
-    )
 
 
 def _reset_worker_obs(trace: bool, metrics: bool, log: bool = False) -> None:
@@ -215,11 +206,11 @@ def _export_worker_obs(
 def run_phase1_task(task: Phase1Task) -> Dict[str, Any]:
     """Worker entry point: cluster one partition, return shippable state.
 
-    Runs the *exact* serial scan — same ``BirchClusterer``, same
-    ``BatchInserter`` path, same data bytes (a shared-memory view of the
-    coordinator's matrix) — so the returned ACF ``state_dict`` payloads
-    are bit-identical to what the serial miner would have computed for
-    this partition.
+    Runs the *exact* serial scan — the same
+    :func:`~repro.core.miner.fit_partition` over the same data bytes (a
+    read-only map of the coordinator's files) — so the returned ACF
+    ``state_dict`` payloads are bit-identical to what the serial miner
+    computes for this partition.
     """
     from contextlib import nullcontext
 
@@ -231,31 +222,29 @@ def run_phase1_task(task: Phase1Task) -> Dict[str, Any]:
         # Simulated OOM-kill: die without cleanup so the coordinator sees
         # BrokenProcessPool, exactly like a real worker death.
         os._exit(1)
-    if task.isolated:
-        _reset_worker_obs(task.trace, task.metrics, task.log)
+    _reset_worker_obs(task.trace, task.metrics, task.log)
     ambient = (
         obs_context.activate(obs_context.RequestContext.from_dict(task.context))
         if task.context is not None
         else nullcontext()
     )
     with ambient:
-        with attach_matrices(task.descriptor) as matrices:
-            clusterer = BirchClusterer(task.partition, task.others, task.options)
-            result = clusterer.fit_arrays(
-                matrices[task.partition.name],
-                {p.name: matrices[p.name] for p in task.others},
-            )
+        matrices = {name: file.open() for name, file in task.files.items()}
+        clusters, stats = fit_partition(
+            task.partition, task.partitions, task.options, matrices,
+            task.chunk_rows,
+        )
         obs_log.info(
             "parallel.partition_done",
             partition=task.partition.name,
-            clusters=len(result.clusters),
-            points=result.stats.points_inserted,
+            clusters=len(clusters),
+            points=stats.points_inserted,
             pid=os.getpid(),
         )
     payload: Dict[str, Any] = {
         "partition": task.partition.name,
-        "clusters": [acf.state_dict() for acf in result.clusters],
-        "stats": phase1_stats_to_dict(result.stats),
+        "clusters": [acf.state_dict() for acf in clusters],
+        "stats": stats,
     }
     payload.update(_export_worker_obs(task.trace, task.metrics, task.log))
     return payload

@@ -83,7 +83,9 @@ class WorkerPoolError(ReproError):
     """The parallel worker pool failed as *infrastructure*.
 
     Raised when a worker process dies (``BrokenProcessPool``), the pool
-    cannot be created, or a shared-memory segment cannot be attached.
+    cannot be created, or an in-memory relation's partition matrices
+    cannot be spilled to (or mapped back from) the coordinator's temp
+    directory.
     Data-shaped errors raised *inside* a worker (``ValidationError`` and
     friends) propagate as themselves — retrying them on the serial engine
     would fail identically, so the degradation ladder only catches this

@@ -8,8 +8,8 @@ mining run degrades in controlled, *recorded* steps instead of dying:
    clustering starts (this lives in the miner itself; the guard just lets
    it through untouched).
 2. **Worker-pool failure → serial engine.**  With ``engine="parallel"``
-   a dead worker process, a pool that cannot start, or a shared-memory
-   failure raises
+   a dead worker process, a pool that cannot start, or a failed spill of
+   the in-memory partition matrices raises
    :class:`~repro.resilience.errors.WorkerPoolError`; the guard retries
    the same attempt on the serial :class:`~repro.core.miner.DARMiner`
    (which is decision-identical, just slower) and records the rung.

@@ -97,7 +97,8 @@ class TestBudgetedBitIdentity:
         assert_same_rules(mined, repro.mine(relation, config=DARConfig(count_rule_support=True)))
 
     def test_every_scan_mode_mines_the_same_rules(self, relation, tmp_path):
-        """No budget, a roomy budget, out of core, and the worker pool."""
+        """No budget, a roomy budget, out of core, and the worker pool
+        over memory and over the store."""
         plain = DARConfig(count_rule_support=True)
         roomy = DARConfig(
             birch=BirchOptions(memory_limit_bytes=2**30), count_rule_support=True
@@ -111,6 +112,7 @@ class TestBudgetedBitIdentity:
             repro.mine(store, config=roomy),
             repro.mine(relation, config=roomy, engine="parallel", workers=1),
             repro.mine(relation, config=plain, engine="parallel", workers=2),
+            repro.mine(store, config=plain, engine="parallel", workers=2),
         ):
             assert_same_rules(mined, want)
 
@@ -182,11 +184,50 @@ class TestGuardLadder:
                 repro.mine(store, config=BUDGETED)
 
 
+class TestParallelOverStores:
+    def test_parallel_engine_mines_stores(self, relation, tmp_path):
+        store = ColumnStore.from_relation(
+            relation, directory=tmp_path / "s", chunk_rows=333
+        )
+        mined = repro.mine(store, config=BUDGETED, engine="parallel", workers=2)
+        assert not mined.phase2.events
+        assert_same_rules(mined, repro.mine(relation, config=BUDGETED))
+
+    def test_workers_never_write_into_the_store(self, relation, tmp_path):
+        """Workers map the coordinator's stacked ``.npy``; they never
+        rebuild it (a rebuild would rewrite a file others are mapping)."""
+        from repro.data.relation import AttributePartition
+
+        partitions = [
+            AttributePartition("age_dependents", ("age", "dependents")),
+            AttributePartition("claims", ("claims",)),
+        ]
+        store = ColumnStore.from_relation(
+            relation, directory=tmp_path / "s", chunk_rows=500
+        )
+        serial = repro.mine(store, config=BUDGETED, partitions=partitions)
+
+        def listing():
+            return {
+                path.name: path.stat().st_mtime_ns
+                for path in store.directory.iterdir()
+            }
+
+        before = listing()
+        assert any(name.startswith("_stack_") for name in before)
+        mined = repro.mine(
+            store, config=BUDGETED, partitions=partitions,
+            engine="parallel", workers=2,
+        )
+        assert listing() == before
+        assert not mined.phase2.events
+        assert_same_rules(mined, serial)
+        assert_same_rules(
+            serial, repro.mine(relation, config=BUDGETED, partitions=partitions)
+        )
+
+
 class TestApiGuards:
-    def test_parallel_engine_rejected_for_stores(self, relation, tmp_path):
-        store = ColumnStore.from_relation(relation, directory=tmp_path / "s")
-        with pytest.raises(ValueError, match="serial"):
-            repro.mine(store, engine="parallel", workers=2)
 
     def test_store_mine_records_chunk_metrics(self, relation, tmp_path):
         from repro.obs import metrics as obs_metrics

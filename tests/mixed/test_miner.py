@@ -164,6 +164,20 @@ class TestMining:
             rule.startswith("C0(salary") and "job=1" in rule for rule in as_ints
         )
 
+    def test_values_that_render_alike_stay_apart(self):
+        """Grouping is on raw values: 1 and "1" are two value-pure
+        clusters (Thm 5.1: diameter 0), not one mixed one."""
+        rng = np.random.default_rng(0)
+        jobs = [1] * 100 + ["1"] * 100 + [2] * 100
+        salary = np.concatenate([rng.normal(m, 1.0, 100) for m in (10, 50, 90)])
+        relation = Relation(
+            Schema.of(job="nominal", salary="interval"),
+            {"job": jobs, "salary": salary},
+        )
+        clusters = MixedDARMiner().mine_mixed(relation).clusters["job"]
+        assert [(c.value, c.n) for c in clusters] == [(1, 100), ("1", 100), (2, 100)]
+        assert [c.diameter for c in clusters] == [0.0, 0.0, 0.0]
+
     def test_empty_relation_rejected(self):
         with pytest.raises(ValueError):
             MixedDARMiner().mine_mixed(

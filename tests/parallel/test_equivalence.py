@@ -6,8 +6,7 @@ partition (same scan bytes, same insertion decisions, same ACF moments)
 and Phase II tiles reuse the serial engine's exact block boundaries, so
 every float in the result must match the serial engine to the last bit.
 These tests pin that on the synthetic workloads, on random relations via
-Hypothesis, and at the backend level (ordering, pairwise tiles, shared
-memory round-trips).
+Hypothesis, and at the backend level (ordering, pairwise tiles).
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from repro.parallel import (
     ParallelDARMiner,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMatrixStore,
-    attach_matrices,
 )
 
 
@@ -257,26 +254,3 @@ class TestPairwiseTiles:
                 assert np.array_equal(
                     parallel.pairwise_on(name), serial.pairwise_on(name)
                 )
-
-
-class TestSharedMemory:
-    def test_round_trip_bits(self):
-        rng = np.random.default_rng(9)
-        matrices = {
-            "x": rng.normal(size=(50, 2)),
-            "y": rng.normal(size=(50, 1)),
-        }
-        with SharedMatrixStore() as store:
-            store.put_all(matrices)
-            descriptor = store.descriptor()
-            assert store.n_bytes == sum(m.nbytes for m in matrices.values())
-            with attach_matrices(descriptor) as views:
-                assert set(views) == {"x", "y"}
-                for name, matrix in matrices.items():
-                    assert np.array_equal(views[name], matrix)
-
-    def test_close_is_idempotent(self):
-        store = SharedMatrixStore()
-        store.put("x", np.ones((3, 1)))
-        store.close()
-        store.close()

@@ -140,6 +140,66 @@ class TestPoolRetryRung:
             GuardPolicy(pool_retries=2)
 
 
+class TestFileTransportLadder:
+    """The guard ladder behaves at workers=2 as it does serially when the
+    files workers map go missing or a worker dies."""
+
+    @pytest.fixture
+    def store(self, planted, tmp_path):
+        from repro.data.columnar import ColumnStore
+
+        return ColumnStore.from_relation(
+            planted, directory=tmp_path / "store", chunk_rows=333
+        )
+
+    def test_removed_store_raises_like_serial(self, store):
+        import shutil
+
+        from repro.resilience.errors import ColumnStoreError
+
+        shutil.rmtree(store.directory)
+        for engine in ("serial", "parallel"):
+            with pytest.raises(ColumnStoreError):
+                guarded_mine(store, engine=engine, workers=2)
+
+    def test_store_removed_under_the_maps_mines_the_serial_rules(self, store):
+        # The coordinator's maps outlive the files; the workers' opens do
+        # not.  That is a columnar failure, never a worker-pool one.
+        import shutil
+
+        serial = guarded_mine(store, engine="serial")
+        shutil.rmtree(store.directory)
+        result = guarded_mine(store, engine="parallel", workers=2)
+        assert rule_signature(result) == rule_signature(serial)
+        assert not any("worker pool" in event for event in result.phase2.events)
+        assert any("columnar backend" in event for event in result.phase2.events)
+
+    def test_killed_worker_over_a_store_degrades_to_serial(
+        self, store, planted, monkeypatch
+    ):
+        serial = DARMiner(DARConfig()).mine(planted)
+        monkeypatch.setenv(KILL_WORKER_ENV, "age")
+        result = guarded_mine(store, engine="parallel", workers=2)
+        assert rule_signature(result) == rule_signature(serial)
+        assert any("worker pool failed" in event for event in result.phase2.events)
+
+    def test_worker_fault_leaves_no_spill_directory(
+        self, planted, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        injector = faults.FaultInjector().fail_at("parallel.worker", times=None)
+        with faults.injected(injector):
+            with pytest.raises(WorkerPoolError):
+                ParallelDARMiner(DARConfig(), workers=2).mine(planted)
+            result = guarded_mine(planted, engine="parallel", workers=2)
+        assert any("worker pool failed" in event for event in result.phase2.events)
+        assert list(scratch.iterdir()) == []
+
+
 class TestFaultPointsUnarmed:
     def test_unarmed_points_are_noops(self, planted):
         faults.fire("parallel.pool")

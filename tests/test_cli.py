@@ -159,6 +159,15 @@ class TestOutOfCore:
         assert out_of_core == in_memory
         assert (tmp_path / "spill" / "manifest.json").exists()
 
+    def test_workers_mine_the_in_memory_serial_rules(self, planted_csv, capsys):
+        assert main(["mine", planted_csv]) == 0
+        in_memory = capsys.readouterr().out
+        assert main([
+            "mine", planted_csv, "--out-of-core", "--chunk-rows", "64",
+            "--workers", "2",
+        ]) == 0
+        assert capsys.readouterr().out == in_memory
+
     def test_stats_shows_columnar_line(self, planted_csv, tmp_path, capsys):
         assert main([
             "mine", planted_csv, "--out-of-core",
@@ -187,7 +196,6 @@ class TestOutOfCore:
             (["--out-of-core", "--mixed"], "--mixed"),
             (["--out-of-core", "--checkpoint", "x.ckpt"], "--checkpoint"),
             (["--out-of-core", "--drop-missing"], "--drop-missing"),
-            (["--out-of-core", "--workers", "2"], "--workers"),
             (["--memory-budget", "64q"], "invalid byte count"),
         ],
     )
