@@ -6,8 +6,11 @@ over 30 attributes under a 5 MB Phase I memory cap.  This script mines the
 ``make_scaled_wbcd`` surrogate, 5 % outliers, seed 42, one partition per
 attribute, 3 % frequency, ``max_antecedent=2``, ``max_consequent=1``) at
 one size and cap, and prints one row: Phase I seconds (summed over the
-partitions), rebuilds, the largest modelled tree, the ACF census
-(``Phase2Stats.n_clusters``), frequent clusters and rules.
+partitions) and their scan / flush / split layers, the Phase II seconds
+by stage (extract, graph, cliques, rules, postscan), rebuilds, the largest
+modelled tree, the ACF census (``Phase2Stats.n_clusters``), frequent
+clusters and rules.  Every layer time is read from the stats, which read
+it from the span bracketing the layer.
 
 One configuration, measured in a process of its own for its peak RSS::
 
@@ -62,10 +65,19 @@ def mine_once(size: int, capped: bool) -> dict:
     relation, partitions, config = workload(size, capped)
     started = time.perf_counter()
     result = DARMiner(config).mine(relation, partitions)
+    scans = [s.scan for s in result.phase1.values()]
     return {
         "tuples": size,
         "cap": "5 MB" if capped else "none",
         "phase1_s": round(sum(s.seconds for s in result.phase1.values()), 2),
+        **{
+            f"{layer}_s": round(sum(getattr(s, f"seconds_{layer}") for s in scans), 2)
+            for layer in ("scan", "flush", "split")
+        },
+        **{
+            f"{stage}_s": round(seconds, 3)
+            for stage, seconds in result.phase2.stage_breakdown().items()
+        },
         "mine_s": round(time.perf_counter() - started, 2),
         "rebuilds": sum(s.rebuilds for s in result.phase1.values()),
         "max_tree_kb": round(
@@ -94,8 +106,9 @@ def run_table() -> str:
             )
             rows.append(row)
             print(json.dumps(row), flush=True)
-    columns = ["tuples", "cap", "phase1_s", "peak_rss_mb", "rebuilds",
-               "max_tree_kb", "census", "frequent", "rules"]
+    columns = ["tuples", "cap", "phase1_s", "scan_s", "flush_s", "split_s",
+               "extract_s", "graph_s", "cliques_s", "rules_s", "postscan_s",
+               "peak_rss_mb", "rebuilds", "max_tree_kb", "census", "frequent", "rules"]
     lines = [
         "E5 at paper scale - 30 WBCD attributes, 3% frequency "
         "(benchmarks/paper_scale.py --table)",

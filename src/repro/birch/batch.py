@@ -56,7 +56,6 @@ flag.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from math import inf, sqrt
@@ -99,10 +98,12 @@ class ScanStats:
     """Instrumentation of one or more batch-ingestion scans.
 
     One object can be threaded through many calls (chunked scans, rebuild
-    replays): every counter accumulates.  ``seconds_scan`` covers routing
-    and absorption decisions, ``seconds_flush`` the deferred bulk moment
-    application, ``seconds_split`` node splits (including the forced
-    flushes they require).
+    replays): every counter accumulates.  The timers sum span durations:
+    ``seconds_total`` of ``phase1.insert_batch``, ``seconds_flush`` of the
+    end-of-batch ``phase1.flush`` (deferred bulk moment application) and
+    ``seconds_split`` of ``phase1.split`` (node splits, including the
+    forced flushes they require).  ``seconds_scan``, routing and
+    absorption decisions, is what the total leaves over.
     """
 
     points: int = 0
@@ -581,16 +582,15 @@ class BatchInserter:
         grows by the rows actually taken.
         """
         point_mode = batch.entries is None
+        split_seconds_before = stats.seconds_split
         with span(
             "phase1.insert_batch",
             size=batch.size,
             mode="points" if point_mode else "entries",
-        ) as current_span:
-            started = time.perf_counter()
+        ) as batch_span:
             tree = self.tree
             splits_before = tree.n_splits
             absorbed_before = stats.absorbed
-            split_seconds_before = stats.seconds_split
             self._batch = batch
             self._stop = batch.size
             self._probe = probe if point_mode else None
@@ -600,10 +600,8 @@ class BatchInserter:
             else:
                 self._scan_generic(batch, stats)
 
-            flush_started = time.perf_counter()
-            self.flush(stats)
-            flush_seconds = time.perf_counter() - flush_started
-            stats.seconds_flush += flush_seconds
+            with span("phase1.flush") as flush_span:
+                self.flush(stats)
 
             if point_mode:
                 stats.points += self._stop
@@ -613,15 +611,17 @@ class BatchInserter:
                 tree._n_points += int(batch.n.sum())
             stats.splits += tree.n_splits - splits_before
             stats.batches += 1
-            elapsed = time.perf_counter() - started
-            stats.seconds_total += elapsed
-            stats.seconds_scan += (
-                elapsed - flush_seconds - (stats.seconds_split - split_seconds_before)
-            )
             self._batch = None
             self._probe = None
-            current_span.set("absorbed", stats.absorbed - absorbed_before)
-            current_span.set("splits", tree.n_splits - splits_before)
+            batch_span.set("absorbed", stats.absorbed - absorbed_before)
+            batch_span.set("splits", tree.n_splits - splits_before)
+        stats.seconds_total += batch_span.seconds
+        stats.seconds_flush += flush_span.seconds
+        stats.seconds_scan += (
+            batch_span.seconds
+            - flush_span.seconds
+            - (stats.seconds_split - split_seconds_before)
+        )
 
     def _scan_generic(self, batch: _Batch, stats: ScanStats) -> None:
         """Route and absorb every batch item via the numpy mirrors."""
@@ -1024,15 +1024,15 @@ class BatchInserter:
 
     def _split(self, leaf: LeafNode, path: List[tuple], stats: ScanStats) -> None:
         """Flush, split an over-full ``leaf``, and drop the stale mirrors."""
-        started = time.perf_counter()
-        self.flush(stats)
-        self.tree._split_leaf(leaf)
-        # The split restructured the whole root-to-leaf chain; drop exactly
-        # those caches (fresh nodes have none).
-        for path_node, _, _ in path:
-            self._mirrors.pop(path_node, None)
-        self._mirrors.pop(leaf, None)
-        stats.seconds_split += time.perf_counter() - started
+        with span("phase1.split") as split_span:
+            self.flush(stats)
+            self.tree._split_leaf(leaf)
+            # The split restructured the whole root-to-leaf chain; drop
+            # exactly those caches (fresh nodes have none).
+            for path_node, _, _ in path:
+                self._mirrors.pop(path_node, None)
+            self._mirrors.pop(leaf, None)
+        stats.seconds_split += split_span.seconds
 
     def _note_growth(self, i: int) -> None:
         """After item ``i`` grew the tree: end the batch at the next probe

@@ -14,7 +14,6 @@ experiments of Section 7.2.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -80,6 +79,7 @@ class Phase1Stats:
     paged_entries: int = 0
     replay: Optional[ReplayReport] = None
     seconds: float = 0.0
+    """Wall time of the fit: the duration of its ``phase1.fit`` span."""
     final_entry_count: int = 0
     final_tree_bytes: int = 0
     scan: Optional[ScanStats] = None
@@ -156,11 +156,9 @@ class BirchClusterer:
         self, points: np.ndarray, cross_matrices: Optional[Dict[str, np.ndarray]] = None
     ) -> BirchResult:
         """Scan raw arrays: ``points`` is ``(n, dim)``; cross matrices match rows."""
-        with span(
-            "phase1.fit", partition=self.partition.name
-        ) as fit_span:
+        with span("phase1.fit", partition=self.partition.name) as fit_span:
             result = self._fit_arrays(points, cross_matrices)
-            return self._finish_fit(fit_span, result)
+        return self._finish_fit(fit_span, result)
 
     def fit_chunks(self, chunks) -> BirchResult:
         """Scan a chunk stream (the out-of-core path of :meth:`fit_arrays`).
@@ -176,16 +174,16 @@ class BirchClusterer:
         finiteness-validated as it streams in, since no one saw the whole
         array upfront.
         """
-        with span(
-            "phase1.fit", partition=self.partition.name
-        ) as fit_span:
+        with span("phase1.fit", partition=self.partition.name) as fit_span:
             batches = self._batches(chunk.arrays for chunk in chunks)
             result = self._run_scan(batches, validate=True)
-            return self._finish_fit(fit_span, result)
+        return self._finish_fit(fit_span, result)
 
     def _finish_fit(self, fit_span, result: BirchResult) -> BirchResult:
-        """Annotate the fit span and publish metrics (shared fit tail)."""
+        """Time the fit from its closed span, annotate the span and publish
+        metrics (shared fit tail)."""
         stats = result.stats
+        stats.seconds = fit_span.seconds
         fit_span.set("points", stats.points_inserted)
         fit_span.set("entries", stats.final_entry_count)
         fit_span.set("rebuilds", stats.rebuilds)
@@ -278,7 +276,6 @@ class BirchClusterer:
         the tree over budget, the scan feeds it one interval at a time.
         """
         stats = Phase1Stats()
-        started = time.perf_counter()
         tree = ACFTree(
             dimension=self.partition.dimension,
             threshold=self.options.initial_threshold,
@@ -343,7 +340,6 @@ class BirchClusterer:
             # BIRCH's global phase: undo order-dependence by merging leaf
             # entries whose unions still respect the final threshold.
             clusters = refine_entries(clusters, tree.threshold)
-        stats.seconds = time.perf_counter() - started
         stats.final_entry_count = len(clusters)
         stats.final_tree_bytes = self.memory_model.tree_bytes(*tree.summary_counts())
         return BirchResult(

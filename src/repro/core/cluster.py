@@ -10,7 +10,6 @@ association — go through this wrapper and therefore never touch raw data
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -81,17 +80,16 @@ class Cluster:
         return hash(self.uid)
 
     def __str__(self) -> str:
-        return self._label
-
-    @cached_property
-    def _label(self) -> str:
         """The §7.2 bounding-box description, rendered on first use."""
-        lo, hi = self.bounding_box()
-        parts = ", ".join(
-            f"{name}:[{lo[i]:g}, {hi[i]:g}]"
-            for i, name in enumerate(self.partition.attributes)
-        )
-        return f"C{self.uid}({parts}; n={self.n})"
+        label = self.__dict__.get("_label")
+        if label is None:
+            lo, hi = self.bounding_box()
+            parts = ", ".join(
+                f"{name}:[{lo[i]:g}, {hi[i]:g}]"
+                for i, name in enumerate(self.partition.attributes)
+            )
+            label = self.__dict__["_label"] = f"C{self.uid}({parts}; n={self.n})"
+        return label
 
 
 def _d1(a: CF, b: CF) -> float:

@@ -201,6 +201,11 @@ class DARMiner:
             )
 
         # ------------------------------ Phase II -----------------------
+        # Without support counting there is no post-scan step to time.
+        counts_support = (
+            self.config.count_rule_support
+            or self.config.rule_support_fraction is not None
+        )
         graph, cliques, rules, phase2 = run_phase2(
             self.config,
             frequent_clusters,
@@ -209,12 +214,12 @@ class DARMiner:
             n_clusters=sum(len(c) for c in all_clusters.values()),
             targets=target_set,
             kernel_factory=self._make_kernel,
-            postprocess=lambda rules: postscan(
+            postprocess=(lambda rules: postscan(
                 self.config,
                 rules,
                 lambda: self._tuple_masks(frequent_clusters, matrices),
                 n,
-            ),
+            )) if counts_support else None,
         )
 
         return DARResult(

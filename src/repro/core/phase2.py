@@ -10,15 +10,14 @@ populations of Section 8 — so :func:`run_phase2` is the only place the
 sequence is written.  Callers supply only what differs: the kernel
 factory (the parallel miner tiles the pairwise blocks over its pool), a
 per-partition leniency override (nominal thresholds are already
-fractions), and a ``postprocess`` step that runs inside the ``phase2``
-span (the mixed miner's taxonomy-level filter, and in both data-holding
+fractions), and a ``postprocess`` step timed as the ``phase2.postscan``
+stage (the mixed miner's taxonomy-level filter, and in both data-holding
 miners the support :func:`postscan`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -62,8 +61,9 @@ class Phase2Stats:
     retry after memory exhaustion); an empty list means the run was
     clean.  The ``*_seconds`` fields break ``seconds`` down by stage:
     image-summary extraction, clustering-graph build, maximal-clique
-    enumeration and rule emission (assoc sets, antecedent search, degree
-    computation).
+    enumeration, rule emission (assoc sets, antecedent search, degree
+    computation) and the caller's post-scan step.  Each is the duration of
+    its ``phase2.*`` span, and ``seconds`` that of the ``phase2`` span.
     """
 
     seconds: float = 0.0
@@ -79,6 +79,7 @@ class Phase2Stats:
     graph_seconds: float = 0.0
     clique_seconds: float = 0.0
     rules_seconds: float = 0.0
+    postscan_seconds: float = 0.0
     events: List[GuardEvent] = field(default_factory=list)
 
     def stage_breakdown(self) -> Dict[str, float]:
@@ -88,6 +89,7 @@ class Phase2Stats:
             "graph": self.graph_seconds,
             "cliques": self.clique_seconds,
             "rules": self.rules_seconds,
+            "postscan": self.postscan_seconds,
         }
 
     def publish(self) -> None:
@@ -184,13 +186,12 @@ def run_phase2(
     reads (default: a serial :class:`Phase2Kernel`); a failure there, or
     in any later stage, propagates to the caller.  Rules are
     formed only over ``targets`` consequents when given, then passed
-    through ``postprocess`` (inside the ``phase2`` span, so its time is
+    through ``postprocess`` (in a ``phase2.postscan`` span, so its time is
     Phase II time).  The stats are published to the metrics registry
     before returning.  Fewer than two partitions with frequent clusters
     means no graph, no cliques and no rules.
     """
     stats = Phase2Stats()
-    started = time.perf_counter()
     flat = [cluster for group in frequent_clusters.values() for cluster in group]
     stats.n_clusters = n_clusters
     stats.n_frequent_clusters = len(flat)
@@ -205,21 +206,19 @@ def run_phase2(
             # Image-summary extraction: every frequent cluster's image on
             # every partition, stacked once, reused by the graph build AND
             # the rule-formation stage below.
-            stage = time.perf_counter()
-            with span("phase2.extract", clusters=len(flat)):
+            with span("phase2.extract", clusters=len(flat)) as extract_span:
                 faults.fire("phase2.kernel")
                 if kernel_factory is None:
                     kernel = Phase2Kernel(flat, metric=config.metric)
                 else:
                     kernel = kernel_factory(flat)
-            stats.extract_seconds = time.perf_counter() - stage
+            stats.extract_seconds = extract_span.seconds
 
             overrides = leniency or {}
             lenient = {
                 name: overrides.get(name, config.phase2_leniency) * threshold
                 for name, threshold in density_thresholds.items()
             }
-            stage = time.perf_counter()
             with span("phase2.graph") as graph_span:
                 graph = kernel.build_graph(
                     lenient,
@@ -227,21 +226,19 @@ def run_phase2(
                     pruning_diameter_factor=config.pruning_diameter_factor,
                 )
                 graph_span.set("edges", graph.n_edges)
-            stats.graph_seconds = time.perf_counter() - stage
+            stats.graph_seconds = graph_span.seconds
 
-            stage = time.perf_counter()
             with span("phase2.cliques") as clique_span:
                 cliques = maximal_cliques(graph.adjacency)
                 clique_span.set("cliques", len(cliques))
-            stats.clique_seconds = time.perf_counter() - stage
+            stats.clique_seconds = clique_span.seconds
 
-            stage = time.perf_counter()
             with span("phase2.rules") as rules_span:
                 rules = _form_rules(
                     config, graph, degree_thresholds, kernel, targets=targets
                 )
                 rules_span.set("rules", len(rules))
-            stats.rules_seconds = time.perf_counter() - stage
+            stats.rules_seconds = rules_span.seconds
 
             stats.n_edges = graph.n_edges
             stats.comparisons = graph.stats.comparisons
@@ -249,10 +246,12 @@ def run_phase2(
         stats.n_cliques = len(cliques)
         stats.n_non_trivial_cliques = len(non_trivial_cliques(cliques))
         if postprocess is not None:
-            rules = postprocess(rules)
+            with span("phase2.postscan", candidates=len(rules)) as postscan_span:
+                rules = postprocess(rules)
+            stats.postscan_seconds = postscan_span.seconds
         stats.n_rules = len(rules)
         phase2_span.set("rules", len(rules))
-    stats.seconds = time.perf_counter() - started
+    stats.seconds = phase2_span.seconds
     stats.publish()
     return Phase2Output(graph, cliques, rules, stats)
 
@@ -310,11 +309,10 @@ def postscan(
     fraction = config.rule_support_fraction
     if not rules or not (config.count_rule_support or fraction is not None):
         return rules
-    with span("phase2.postscan", candidates=len(rules)):
-        rules = count_support(rules, masks())
-        if fraction is not None:
-            bar = math.ceil(fraction * n)
-            rules = [rule for rule in rules if (rule.support_count or 0) >= bar]
+    rules = count_support(rules, masks())
+    if fraction is not None:
+        bar = math.ceil(fraction * n)
+        rules = [rule for rule in rules if (rule.support_count or 0) >= bar]
     return rules
 
 

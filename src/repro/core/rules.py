@@ -14,7 +14,6 @@ consequent clusters.  Its interest measures replace the classical pair:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.core.cluster import Cluster
@@ -84,18 +83,17 @@ class DistanceRule:
         return self.antecedent_uids, self.consequent_uids
 
     def __str__(self) -> str:
-        return self._label
-
-    @cached_property
-    def _label(self) -> str:
         """The rule's description, rendered once: it is both the ranking
         tie-break and the snapshot's stored description."""
-        return _describe(
-            " & ".join(map(str, self.antecedent)),
-            " & ".join(map(str, self.consequent)),
-            self.degree,
-            self.support_count,
-        )
+        label = self.__dict__.get("_label")
+        if label is None:
+            label = self.__dict__["_label"] = _describe(
+                " & ".join(map(str, self.antecedent)),
+                " & ".join(map(str, self.consequent)),
+                self.degree,
+                self.support_count,
+            )
+        return label
 
     @classmethod
     def formed(cls, antecedent, consequent, degree, degrees, lhs, rhs):

@@ -15,12 +15,15 @@ Usage at an instrumentation site::
         ...                     # the timed work
         sp.set("absorbed", n)   # attach counters discovered along the way
 
-When tracing is disabled (the default) ``span()`` returns a shared no-op
-context manager: no object allocation beyond the argument dict, no
-timestamps, no locking.  The hot paths are instrumented at batch/stage
-granularity precisely so this check is the *only* disabled-mode cost —
-``benchmarks/test_perf_obs_overhead.py`` gates it below 2% of the
-workloads it rides on.
+Traced or not, the yielded object's ``.seconds`` holds the region's wall
+time once the ``with`` block closes, so a stats field that reports a
+stage's time reads it from the stage's span: there is no second
+stopwatch to disagree with the trace.  When tracing is disabled (the
+default) ``span()`` returns a bare stopwatch that records nothing: two
+clock reads, no span id, thread stack, lock or ring slot.  The hot paths
+are instrumented at batch/stage granularity precisely so this is the
+*only* disabled-mode cost — ``benchmarks/test_perf_obs_overhead.py``
+gates it below 2% of the workloads it rides on.
 
 Exporters: :meth:`Tracer.to_jsonl` (one JSON object per finished span)
 and :meth:`Tracer.to_chrome` (the Chrome ``chrome://tracing`` /
@@ -124,32 +127,28 @@ class Span:
         return f"Span({self.name!r}, {self.seconds * 1e3:.3f}ms, attrs={self.attributes})"
 
 
-class _NullSpan:
-    """The span handed out when tracing is disabled: every method no-ops."""
+class _Stopwatch:
+    """What :func:`span` yields while tracing is off: the region's wall
+    time in ``seconds`` (0.0 until the block closes), nothing recorded."""
 
-    __slots__ = ()
+    __slots__ = ("_start", "seconds")
 
-    def set(self, key: str, value: Any) -> "_NullSpan":
+    def __init__(self) -> None:
+        self.seconds = 0.0
+
+    def __enter__(self) -> "_Stopwatch":
+        self._start = time.perf_counter()
         return self
-
-    def add(self, key: str, amount: Union[int, float] = 1) -> "_NullSpan":
-        return self
-
-
-class _NullSpanContext:
-    """Shared, stateless, reentrant context manager for disabled tracing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return _NULL_SPAN
 
     def __exit__(self, *exc_info: object) -> bool:
+        self.seconds = time.perf_counter() - self._start
         return False
 
+    def set(self, key: str, value: Any) -> "_Stopwatch":
+        return self
 
-_NULL_SPAN = _NullSpan()
-_NULL_CONTEXT = _NullSpanContext()
+    def add(self, key: str, amount: Union[int, float] = 1) -> "_Stopwatch":
+        return self
 
 
 class _SpanContext:
@@ -429,9 +428,10 @@ def span(name: str, **attributes: Any):
     """Open a traced region named ``name`` (context manager).
 
     The yielded object supports ``.set(key, value)`` and
-    ``.add(key, amount)`` for attaching counters.  With tracing disabled
-    this returns a shared no-op context manager and records nothing.
+    ``.add(key, amount)`` for attaching counters, and its ``.seconds`` is
+    the region's wall time once the block closes.  With tracing disabled
+    it is a stopwatch that records nothing.
     """
     if not _enabled:
-        return _NULL_CONTEXT
+        return _Stopwatch()
     return _SpanContext(_tracer, name, attributes)

@@ -96,10 +96,8 @@ def _fsync_directory(directory: Path) -> None:
 
 
 def write_checkpoint(state: Dict[str, Any], path: PathLike) -> CheckpointInfo:
-    """Serialize ``state`` to ``path`` atomically; returns size and timing."""
-    import time
-
-    started = time.perf_counter()
+    """Serialize ``state`` to ``path`` atomically; returns size and timing
+    (the duration of the ``checkpoint.save`` span)."""
     path = Path(path)
     with span("checkpoint.save") as save_span:
         try:
@@ -121,25 +119,22 @@ def write_checkpoint(state: Dict[str, Any], path: PathLike) -> CheckpointInfo:
         os.replace(tmp, path)
         _fsync_directory(path.parent)
         n_bytes = len(header) + len(payload)
-        seconds = time.perf_counter() - started
         save_span.set("bytes", n_bytes)
-        if obs_metrics.metrics_enabled():
-            obs_metrics.inc(
-                "repro_checkpoint_writes_total", help="Checkpoints written"
-            )
-            obs_metrics.inc(
-                "repro_checkpoint_bytes_total",
-                n_bytes,
-                help="Total checkpoint bytes written",
-                unit="bytes",
-            )
-            obs_metrics.inc(
-                "repro_checkpoint_seconds_total",
-                seconds,
-                help="Wall seconds spent writing checkpoints",
-                unit="seconds",
-            )
-        return CheckpointInfo(path=path, n_bytes=n_bytes, seconds=seconds)
+    if obs_metrics.metrics_enabled():
+        obs_metrics.inc("repro_checkpoint_writes_total", help="Checkpoints written")
+        obs_metrics.inc(
+            "repro_checkpoint_bytes_total",
+            n_bytes,
+            help="Total checkpoint bytes written",
+            unit="bytes",
+        )
+        obs_metrics.inc(
+            "repro_checkpoint_seconds_total",
+            save_span.seconds,
+            help="Wall seconds spent writing checkpoints",
+            unit="seconds",
+        )
+    return CheckpointInfo(path=path, n_bytes=n_bytes, seconds=save_span.seconds)
 
 
 def read_checkpoint(path: PathLike) -> Dict[str, Any]:

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs.slo import CRIT, OK, WARN, HealthCheck, HealthReport
+from repro.obs.trace import span
 from repro.resilience import faults
 from repro.serve.query import QueryAnswer, QueryEngine, RuleQuery
 from repro.serve.snapshot import RuleSnapshot, compile_snapshot
@@ -157,8 +158,7 @@ class SnapshotPublisher:
         leaves the old snapshot serving, records itself (see
         :attr:`last_failure`) and re-raises.
         """
-        started = time.perf_counter()
-        with self._publish_lock:
+        with span("serve.publish") as publish_span, self._publish_lock:
             version = next(self._versions)
             try:
                 snapshot = compile_snapshot(
@@ -168,7 +168,7 @@ class SnapshotPublisher:
                 self._record_failure(error)
                 raise
             self.swap(snapshot)
-        seconds = time.perf_counter() - started
+        seconds = publish_span.seconds
         if obs_metrics.metrics_enabled():
             obs_metrics.observe(
                 "repro_serve_publish_seconds",

@@ -378,7 +378,7 @@ class TestMinerEquivalence:
         result = DARMiner().mine(relation)
         phase2 = result.phase2
         breakdown = phase2.stage_breakdown()
-        assert set(breakdown) == {"extract", "graph", "cliques", "rules"}
+        assert set(breakdown) == {"extract", "graph", "cliques", "rules", "postscan"}
         assert all(seconds >= 0.0 for seconds in breakdown.values())
         # The stage timers cover work included in the phase total.
         assert sum(breakdown.values()) <= phase2.seconds + 1e-6

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -24,8 +25,17 @@ class TestDisabledMode:
             sp.add("splits")
         assert len(trace.get_tracer().spans()) == before
 
-    def test_null_context_is_shared(self):
-        assert span("a") is span("b")
+    def test_nested_stopwatches_time_independently(self):
+        with span("outer") as outer:
+            with span("inner") as inner:
+                assert inner.set("k", 1).add("k") is inner
+                assert inner.seconds == 0.0
+            time.sleep(0.002)
+            assert outer.seconds == 0.0
+        assert outer is not inner
+        assert inner.seconds > 0.0
+        assert outer.seconds >= inner.seconds + 0.002
+        assert outer.set("k", 1).add("k") is outer
 
     def test_null_span_methods_chain(self):
         with span("x") as sp:

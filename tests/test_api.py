@@ -82,7 +82,7 @@ class TestResultSerialization:
         assert decoded["frequency_count"] == result.frequency_count
         assert len(decoded["rules"]) == len(result.rules)
         assert set(decoded["phase2"]["stage_seconds"]) == {
-            "extract", "graph", "cliques", "rules",
+            "extract", "graph", "cliques", "rules", "postscan",
         }
         assert set(decoded["phase1"]) == set(result.phase1)
         for stats in decoded["phase1"].values():
