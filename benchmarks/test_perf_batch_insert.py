@@ -2,8 +2,10 @@
 
 Verifies the :meth:`ACFTree.insert_points` contract end to end on the
 paper's scaled-WBCD scan: the batch path must produce the *same* leaf
-entries as per-point insertion (the multiset of (n, LS, SS) summaries,
-within 1e-9) while ingesting at least ``MIN_SPEEDUP`` times faster.  The
+entries as the sequential per-point oracle
+(:func:`tests.birch.reference_scan.insert_point`; the multiset of
+(n, LS, SS) summaries, within 1e-9) while ingesting at least
+``MIN_SPEEDUP`` times faster.  The
 measured ratio on an idle machine is ~8-10x; the bar leaves room for
 shared-runner noise.
 
@@ -29,7 +31,7 @@ from repro.data.wbcd import make_scaled_wbcd, make_wbcd_like
 from repro.report.tables import Table
 
 from conftest import bench_scale
-from tests.birch.reference_scan import ReferenceTree
+from tests.birch.reference_scan import ReferenceTree, insert_point
 
 N_ATTRIBUTES = 4
 DENSITY_FRACTION = 0.15  # the miner's default d0 derivation
@@ -76,8 +78,8 @@ def run_comparison():
         seq_tree = fresh_tree(name, names, matrices)
         started = time.perf_counter()
         for i in range(points.shape[0]):
-            seq_tree.insert_point(
-                points[i], {other: cross[other][i] for other in cross_names}
+            insert_point(
+                seq_tree, points[i], {other: cross[other][i] for other in cross_names}
             )
         seq_seconds = time.perf_counter() - started
 

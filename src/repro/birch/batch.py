@@ -1,18 +1,21 @@
-"""Vectorized batch ingestion for the ACF-tree.
+"""Batch ingestion: the one code path that changes an ACF-tree.
 
-The per-point scan loop of :meth:`repro.birch.tree.ACFTree.insert_point`
-spends nearly all of its time in small Python loops: ``closest_child`` and
-``closest_entry`` walk children/entries one at a time, and every absorbed
-point updates the main CF, every cross CF, the bounding box and each
-ancestor aggregate with separate tiny numpy operations.  This module
-replaces that with a batch engine built on three ideas:
+Phase I has one operation (Section 4.3.1): insert into the ACF-tree.  A
+raw point descends to the leaf whose subtree centroid is closest, joins
+the closest leaf entry if the merged RMS diameter stays within the
+threshold, and otherwise starts a new entry, splitting full nodes on the
+way back up.  Rebuilds and outlier replay insert whole subclusters the
+same way, each routed by its centroid.  :class:`BatchInserter` makes
+every one of those decisions, one item at a time, with three ideas that
+keep the per-item cost low:
 
-1. **Mirror caches.**  Every node visited during a batch gets a *mirror*: a
-   preallocated ``(capacity, dim)`` matrix of its children's (or entries')
-   counts, linear sums and centroids.  Descent and closest-entry selection
-   become one subtract + one row-wise dot product + one argmin over the
-   mirror instead of a Python loop.  Mirrors are updated incrementally (one
-   row per insertion) and invalidated when a split restructures the node.
+1. **Mirror caches.**  Every node visited during a batch gets a *mirror*
+   of its children's (or entries') counts, linear sums and centroids:
+   plain Python floats in one dimension, preallocated numpy rows
+   otherwise.  Descent and closest-entry selection read the mirror
+   instead of walking node objects.  Mirrors are updated incrementally
+   (one slot per insertion) and dropped when a split restructures the
+   node.
 
 2. **Deferred bulk accumulation.**  Absorption decisions only need the main
    moments ``(n, LS, SS)``, which the mirrors carry.  Everything else —
@@ -27,26 +30,18 @@ replaces that with a batch engine built on three ideas:
    recomputed from it; the prefix that agrees is committed in one step
    (:meth:`BatchInserter._speculate`).
 
-**Equivalence guarantee.**  The engine makes the *same decision sequence*
-as sequential insertion: points are routed one at a time (or, in a
-verified window, checked one at a time) against mirror state that is
-updated after every point with exactly the arithmetic the sequential path
-uses (same linear-sum accumulation order, same division, same
-tie-breaking — ``argmin`` returns the first minimum just as the
-sequential strict-``<`` scan keeps the first).  Leaf-entry main moments are
-written back *from the mirrors* at flush, and every deferred value adds
-its items one at a time in scan order, so the tree is byte for byte the
-one :meth:`~repro.birch.tree.ACFTree.insert_point` builds — and therefore
-the same wherever a scan cuts its batches.
+**Batch invariance.**  Every item is decided against mirror state that
+was updated after the item before it, with one fixed arithmetic (same
+linear-sum accumulation order, same division, ``argmin``'s first-minimum
+tie-break), and every deferred value adds its items one at a time in scan
+order.  So the tree is byte for byte the same wherever a scan cuts its
+batches, down to one item per batch.
 
 **Budget probes.**  Modelled bytes grow only when a point starts an entry
 or splits a node, and never fall within a batch.  So after each such step
 the engine asks the scan's budget probe whether the tree is over budget,
 and at the first yes ends the batch at the next probe row: exactly where
 a probe every 256 rows would first fire.
-
-Rebuilds use the same engine in *entry mode* (batch of ACF summaries
-instead of raw points); see :meth:`ACFTree.insert_entries`.
 
 :class:`ScanStats` instruments the scan (throughput, absorb rate, splits,
 rebuilds, per-stage wall time) and is threaded through the Phase I driver
@@ -59,13 +54,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from math import inf, sqrt
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.birch.features import ACF, CF
 from repro.birch.memory import _BudgetProbe
-from repro.birch.node import InternalNode, LeafNode, Node
+from repro.birch.node import LeafNode, Node
 from repro.metrics.cluster import rms_diameter_from_moments
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -242,34 +237,59 @@ _SCAN_METRICS = (
 )
 
 
-class _InternalMirror:
-    """Per-slot (n, LS, centroid) rows of one node, from its slots' CFs:
-    one per child of an internal node (see :class:`_LeafMirror`)."""
+class _Mirror:
+    """Per-slot ``(n, LS, SS, centroid)`` of one node: one slot per child of
+    an internal node (``ss`` is ``None``), one per entry of a leaf.
 
-    __slots__ = ("count", "n", "ls", "cent", "n_empty")
+    Routing picks the closest non-empty slot, keeping the first of equal
+    minima; empty slots never win, and an internal node whose children
+    are all empty routes to its first child.
+    """
 
-    def __init__(self, cfs: Sequence[CF], capacity: int, dimension: int):
+    __slots__ = ("count", "n", "ls", "ss", "cent", "n_empty")
+
+    def closest(self, point):
+        """Index of the closest non-empty entry of a leaf."""
+        if self.n_empty == self.count:
+            raise ValueError("closest entry of a leaf with only empty entries")
+        return self.route(point)
+
+    def absorb(self, index: int, dn: int, dls, dss) -> None:
+        """Merge ``dn`` tuples with linear sum ``dls`` and squares ``dss``
+        into entry ``index``."""
+        self.note(index, dn, dls)
+        self.ss[index] += dss
+
+
+class _ArrayMirror(_Mirror):
+    """Numpy rows, for nodes of a tree of two or more dimensions."""
+
+    __slots__ = ()
+
+    def __init__(self, node: Node, dimension: int):
+        leaf = node.is_leaf
+        cfs = _slot_cfs(node)
+        capacity = (node.capacity if leaf else node.branching) + 1  # type: ignore[attr-defined]
         self.count = len(cfs)
         self.n = np.zeros(capacity, dtype=np.int64)
         self.ls = np.zeros((capacity, dimension), dtype=np.float64)
+        self.ss = np.zeros((capacity, dimension), dtype=np.float64) if leaf else None
         self.cent = np.zeros((capacity, dimension), dtype=np.float64)
         self.n_empty = 0
         for index, cf in enumerate(cfs):
             self.n[index] = cf.n
             self.ls[index] = cf.ls
+            if leaf:
+                self.ss[index] = cf.ss
             if cf.n:
                 self.cent[index] = cf.ls / cf.n
             else:
                 self.n_empty += 1
 
     def route(self, point: np.ndarray) -> int:
-        """Index of the closest non-empty child (first child if all empty).
-
-        Matches :meth:`InternalNode.closest_child` decision-for-decision:
-        the same ``ls / n - point`` arithmetic per row, empty children
-        skipped, and ``argmin`` keeping the first of equal minima exactly
-        as the sequential strict-``<`` scan does.
-        """
+        # Squared distances are plain sums of squared deltas: a BLAS dot
+        # may fuse or reorder the adds, and a last-bit difference can flip
+        # a near tie.
         k = self.count
         delta = self.cent[:k] - point
         scores = (delta * delta).sum(axis=1)
@@ -280,7 +300,7 @@ class _InternalMirror:
         return int(np.argmin(scores))
 
     def note(self, index: int, dn: int, dls: np.ndarray) -> None:
-        """Record ``dn`` points with linear sum ``dls`` below child ``index``."""
+        """Record ``dn`` tuples with linear sum ``dls`` below slot ``index``."""
         if self.n[index] == 0:
             self.n_empty -= 1
         n = self.n[index] + dn
@@ -288,48 +308,6 @@ class _InternalMirror:
         ls = self.ls[index]
         ls += dls
         self.cent[index] = ls / n
-
-
-class _LeafMirror(_InternalMirror):
-    """Per-entry (n, LS, SS, centroid) rows of one leaf node."""
-
-    __slots__ = ("ss",)
-
-    def __init__(self, leaf: LeafNode, dimension: int):
-        cfs = [entry.cf for entry in leaf.entries]
-        super().__init__(cfs, leaf.capacity + 1, dimension)
-        self.ss = np.zeros((leaf.capacity + 1, dimension), dtype=np.float64)
-        for index, cf in enumerate(cfs):
-            self.ss[index] = cf.ss
-
-    def closest(self, point: np.ndarray) -> int:
-        """Index of the closest non-empty entry; mirrors ``closest_entry``."""
-        if self.n_empty == self.count:
-            raise ValueError("closest_entry on a leaf with only empty entries")
-        return self.route(point)
-
-    def merged_point_rms_diameter(self, index: int, point: np.ndarray) -> float:
-        """Same arithmetic as ``tree._merged_point_rms_diameter``."""
-        n = int(self.n[index]) + 1
-        if n < 2:
-            return 0.0
-        ls = self.ls[index] + point
-        ss = float(self.ss[index].sum()) + float(point @ point)
-        squared = (2.0 * n * ss - 2.0 * float(ls @ ls)) / (n * (n - 1))
-        return float(np.sqrt(max(squared, 0.0)))
-
-    def merged_cf_rms_diameter(self, index: int, cf: CF) -> float:
-        """Same arithmetic as :func:`repro.birch.features.merged_rms_diameter`."""
-        n = int(self.n[index]) + cf.n
-        if n < 2:
-            return 0.0
-        ls = self.ls[index] + cf.ls
-        ss = float(self.ss[index].sum()) + cf.ss_total
-        return rms_diameter_from_moments(n, ls, ss)
-
-    def absorb(self, index: int, dn: int, dls: np.ndarray, dss: np.ndarray) -> None:
-        self.note(index, dn, dls)
-        self.ss[index] += dss
 
     def append(self, dn: int, ls: np.ndarray, ss: np.ndarray) -> None:
         index = self.count
@@ -342,34 +320,35 @@ class _LeafMirror(_InternalMirror):
             self.n_empty += 1
         self.count += 1
 
+    def merged_diameter(self, index: int, dn: int, dls: np.ndarray, total: float) -> float:
+        """RMS diameter of entry ``index`` merged with ``dn`` tuples of linear
+        sum ``dls`` and scalar square sum ``total``."""
+        n = int(self.n[index]) + dn
+        if n < 2:
+            return 0.0
+        ls = self.ls[index] + dls
+        ss = float(self.ss[index].sum()) + total
+        return rms_diameter_from_moments(n, ls, ss)
 
-class _InternalMirror1D:
-    """Scalar (pure-Python-float) mirror of a 1-dimensional internal node.
 
-    Every arithmetic step is a single IEEE-754 scalar operation, identical
-    to what the numpy path performs elementwise on length-1 arrays, so the
-    routing decisions are bit-for-bit the sequential ones — without any
-    per-point numpy dispatch overhead.
+class _ScalarMirror(_Mirror):
+    """Python floats, for nodes of a one-dimensional tree.
+
+    Every step is a single IEEE-754 scalar operation, the one numpy would
+    perform elementwise on length-1 rows, without numpy's per-call
+    dispatch cost.
     """
 
-    __slots__ = ("count", "n", "ls", "cent", "n_empty")
+    __slots__ = ()
 
-    def __init__(self, cfs: Sequence[CF]):
+    def __init__(self, node: Node):
+        cfs = _slot_cfs(node)
         self.count = len(cfs)
-        self.n: List[int] = []
-        self.ls: List[float] = []
-        self.cent: List[float] = []
-        self.n_empty = 0
-        for cf in cfs:
-            count = cf.n
-            linear = float(cf.ls[0])
-            self.n.append(count)
-            self.ls.append(linear)
-            if count:
-                self.cent.append(linear / count)
-            else:
-                self.cent.append(0.0)
-                self.n_empty += 1
+        self.n: List[int] = [cf.n for cf in cfs]
+        self.ls: List[float] = [float(cf.ls[0]) for cf in cfs]
+        self.ss = [float(cf.ss[0]) for cf in cfs] if node.is_leaf else None
+        self.cent = [ls / n if n else 0.0 for n, ls in zip(self.n, self.ls)]
+        self.n_empty = self.n.count(0)
 
     def route(self, point: float) -> int:
         best = -1
@@ -396,45 +375,6 @@ class _InternalMirror1D:
         self.ls[index] = ls
         self.cent[index] = ls / n
 
-
-class _LeafMirror1D(_InternalMirror1D):
-    """Scalar mirror of a 1-dimensional leaf; see :class:`_InternalMirror1D`."""
-
-    __slots__ = ("ss",)
-
-    def __init__(self, leaf: LeafNode):
-        cfs = [entry.cf for entry in leaf.entries]
-        super().__init__(cfs)
-        self.ss: List[float] = [float(cf.ss[0]) for cf in cfs]
-
-    def closest(self, point: float) -> int:
-        best = -1
-        best_squared = inf
-        counts = self.n
-        cent = self.cent
-        for index in range(self.count):
-            if counts[index] == 0:
-                continue
-            delta = cent[index] - point
-            squared = delta * delta
-            if squared < best_squared:
-                best = index
-                best_squared = squared
-        if best < 0:
-            raise ValueError("closest_entry on a leaf with only empty entries")
-        return best
-
-    def absorb(self, index: int, dn: int, dls: float, dss: float) -> None:
-        n = self.n[index]
-        if n == 0:
-            self.n_empty -= 1
-        n += dn
-        self.n[index] = n
-        ls = self.ls[index] + dls
-        self.ls[index] = ls
-        self.ss[index] += dss
-        self.cent[index] = ls / n
-
     def append(self, dn: int, ls: float, ss: float) -> None:
         self.n.append(dn)
         self.ls.append(ls)
@@ -445,6 +385,27 @@ class _LeafMirror1D(_InternalMirror1D):
             self.cent.append(0.0)
             self.n_empty += 1
         self.count += 1
+
+    def merged_diameter(self, index: int, dn: int, dls: float, total: float) -> float:
+        n = self.n[index] + dn
+        if n < 2:
+            return 0.0
+        ls = self.ls[index] + dls
+        squared = (2.0 * n * (self.ss[index] + total) - 2.0 * ls * ls) / (n * (n - 1))
+        return sqrt(squared) if squared > 0.0 else 0.0
+
+
+def _slot_cfs(node: Node) -> List[CF]:
+    if node.is_leaf:
+        return [entry.cf for entry in node.entries]  # type: ignore[attr-defined]
+    return [child.cf for child in node.children]  # type: ignore[attr-defined]
+
+
+def _mirror(node: Node, dimension: int) -> _Mirror:
+    """A fresh mirror of ``node``'s slots, of the kind its tree uses."""
+    if dimension == 1:
+        return _ScalarMirror(node)
+    return _ArrayMirror(node, dimension)
 
 
 class _LeafBuffer:
@@ -477,9 +438,19 @@ class _LeafBuffer:
 
 
 class _Batch:
-    """Precomputed column-stacked views of one batch of points or entries."""
+    """Precomputed column-stacked views of one batch of points or entries.
 
-    __slots__ = ("size", "n", "ls", "ss", "lo", "hi", "cross", "entries")
+    The per-item loop reads ``xs`` (linear sums), ``qs`` (squares),
+    ``totals`` (scalar square sums) and ``ns`` (counts): Python floats in
+    one dimension, numpy rows otherwise.  A scalar square sum is taken as
+    ``point @ point`` for a point and as :attr:`CF.ss_total` for an entry,
+    the forms every merged diameter has always used.
+    """
+
+    __slots__ = (
+        "size", "n", "ls", "ss", "lo", "hi", "cross", "entries",
+        "ns", "xs", "qs", "totals", "min_count", "dropped",
+    )
 
     def __init__(
         self,
@@ -490,6 +461,7 @@ class _Batch:
         hi: np.ndarray,
         cross: Dict[str, Dict[str, np.ndarray]],
         entries: Optional[Sequence[ACF]],
+        min_count: int = 0,
     ):
         self.size = ls.shape[0]
         self.n = n          # (B,) int — 1 for raw points
@@ -499,20 +471,35 @@ class _Batch:
         self.hi = hi
         self.cross = cross  # name -> {"n": (B,), "ls": (B, dy), "ss": (B, dy)}
         self.entries = entries  # entry mode only: the source ACFs
+        self.ns: List[int] = n.tolist()
+        if ls.shape[1] == 1:
+            self.xs = ls[:, 0].tolist()
+            self.qs = ss[:, 0].tolist()
+            self.totals = self.qs
+        else:
+            self.xs, self.qs = ls, ss
+            self.totals = (
+                [float(x @ x) for x in ls]
+                if entries is None
+                else [entry.cf.ss_total for entry in entries]
+            )
+        # An entry no existing entry absorbs and with fewer than
+        # ``min_count`` tuples is left out of the tree and listed here.
+        self.min_count = min_count
+        self.dropped: List[int] = []
 
     @classmethod
     def of_points(
         cls, points: np.ndarray, cross_values: Mapping[str, np.ndarray]
     ) -> "_Batch":
-        squares = points * points
-        cross: Dict[str, Dict[str, np.ndarray]] = {}
-        for name, matrix in cross_values.items():
-            matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-            cross[name] = {"n": None, "ls": matrix, "ss": matrix * matrix}
+        cross = {
+            name: {"n": None, "ls": matrix, "ss": matrix * matrix}
+            for name, matrix in cross_values.items()
+        }
         return cls(
             n=np.ones(points.shape[0], dtype=np.int64),
             ls=points,
-            ss=squares,
+            ss=points * points,
             lo=points,
             hi=points,
             cross=cross,
@@ -520,7 +507,7 @@ class _Batch:
         )
 
     @classmethod
-    def of_entries(cls, entries: Sequence[ACF]) -> "_Batch":
+    def of_entries(cls, entries: Sequence[ACF], min_count: int = 0) -> "_Batch":
         n = np.array([entry.n for entry in entries], dtype=np.int64)
         ls = np.stack([entry.cf.ls for entry in entries])
         ss = np.stack([entry.cf.ss for entry in entries])
@@ -533,26 +520,27 @@ class _Batch:
                 "ls": np.stack([entry.cross[name].ls for entry in entries]),
                 "ss": np.stack([entry.cross[name].ss for entry in entries]),
             }
-        return cls(n=n, ls=ls, ss=ss, lo=lo, hi=hi, cross=cross, entries=entries)
+        return cls(
+            n=n, ls=ls, ss=ss, lo=lo, hi=hi, cross=cross, entries=entries,
+            min_count=min_count,
+        )
 
 
 class BatchInserter:
     """Reusable batch-ingestion engine bound to one :class:`ACFTree`.
 
     Owned by the tree (created lazily by ``insert_points`` /
-    ``insert_entries``) and discarded whenever the sequential mutators run,
-    so mirror caches can never go stale.  All buffered updates are flushed
-    before every split and before control returns to the caller, so the
-    tree object graph is always consistent between calls.
+    ``insert_entries``, dropped by ``state_dict``).  All buffered updates
+    are flushed before every split and before control returns to the
+    caller, so the tree object graph is always consistent between calls.
     """
 
     def __init__(self, tree: "ACFTree"):
         self.tree = tree
         # 1-D trees (the paper's single-attribute partitions) use scalar
-        # Python-float mirrors: identical IEEE arithmetic, none of the
-        # per-point numpy dispatch cost.
+        # mirrors and, for points, verified bulk windows.
         self._scalar = tree.dimension == 1
-        self._mirrors: Dict[Node, object] = {}
+        self._mirrors: Dict[Node, _Mirror] = {}
         self._buffers: Dict[LeafNode, _LeafBuffer] = {}
         self._batch: Optional[_Batch] = None
         # Rows of the current batch to ingest, cut short by a budget probe.
@@ -573,21 +561,25 @@ class BatchInserter:
     # ------------------------------------------------------------------
 
     def run(
-        self, batch: _Batch, stats: ScanStats, probe: Optional[_BudgetProbe] = None
-    ) -> None:
-        """Ingest one prepared batch, updating ``stats`` and the tree.
+        self,
+        prepare: Callable[[], _Batch],
+        stats: ScanStats,
+        probe: Optional[_BudgetProbe] = None,
+    ) -> _Batch:
+        """Prepare one batch and ingest it, updating ``stats`` and the tree.
 
-        With a ``probe`` (point batches), ingestion ends at the first probe
-        row after growth first takes the tree over budget; ``stats.points``
-        grows by the rows actually taken.
+        ``prepare`` builds the batch inside the ``phase1.insert_batch``
+        span, so the batch's squares count toward the scan.  With a
+        ``probe`` (point batches), ingestion ends at the first probe row
+        after growth first takes the tree over budget; ``stats.points``
+        grows by the rows actually taken.  Returns the ingested batch.
         """
-        point_mode = batch.entries is None
         split_seconds_before = stats.seconds_split
-        with span(
-            "phase1.insert_batch",
-            size=batch.size,
-            mode="points" if point_mode else "entries",
-        ) as batch_span:
+        with span("phase1.insert_batch") as batch_span:
+            batch = prepare()
+            point_mode = batch.entries is None
+            batch_span.set("size", batch.size)
+            batch_span.set("mode", "points" if point_mode else "entries")
             tree = self.tree
             splits_before = tree.n_splits
             absorbed_before = stats.absorbed
@@ -595,10 +587,10 @@ class BatchInserter:
             self._stop = batch.size
             self._probe = probe if point_mode else None
 
-            if self._scalar:
-                self._scan_scalar(batch, stats)
+            if self._scalar and point_mode:
+                self._scan_windows(batch, stats)
             else:
-                self._scan_generic(batch, stats)
+                self._scan_range(batch, stats, 0, batch.size)
 
             with span("phase1.flush") as flush_span:
                 self.flush(stats)
@@ -607,8 +599,8 @@ class BatchInserter:
                 stats.points += self._stop
                 tree._n_points += self._stop
             else:
-                stats.entries += batch.size
-                tree._n_points += int(batch.n.sum())
+                stats.entries += batch.size - len(batch.dropped)
+                tree._n_points += sum(batch.ns) - sum(batch.ns[i] for i in batch.dropped)
             stats.splits += tree.n_splits - splits_before
             stats.batches += 1
             self._batch = None
@@ -622,80 +614,17 @@ class BatchInserter:
             - flush_span.seconds
             - (stats.seconds_split - split_seconds_before)
         )
+        return batch
 
-    def _scan_generic(self, batch: _Batch, stats: ScanStats) -> None:
-        """Route and absorb every batch item via the numpy mirrors."""
-        tree = self.tree
-        threshold = tree.threshold
-        point_mode = batch.entries is None
+    def _scan_windows(self, batch: _Batch, stats: ScanStats) -> None:
+        """Scan a batch of points into a 1-dimensional tree.
 
-        for i in range(batch.size):
-            if i == self._stop:
-                break
-            point = batch.ls[i] if point_mode else batch.entries[i].centroid
-            dn = 1 if point_mode else int(batch.n[i])
-
-            # Descend by closest mirrored centroid.
-            path: List[tuple] = []
-            node = tree._root
-            while not node.is_leaf:
-                mirror = self._internal_mirror(node)
-                child_index = mirror.route(point)
-                path.append((node, mirror, child_index))
-                node = node.children[child_index]  # type: ignore[attr-defined]
-            leaf: LeafNode = node  # type: ignore[assignment]
-            leaf_mirror = self._leaf_mirror(leaf)
-
-            # Absorb into the closest entry if the threshold allows.
-            absorbed = False
-            if leaf_mirror.count:
-                entry_index = leaf_mirror.closest(point)
-                if point_mode:
-                    diameter = leaf_mirror.merged_point_rms_diameter(entry_index, point)
-                else:
-                    diameter = leaf_mirror.merged_cf_rms_diameter(
-                        entry_index, batch.entries[i].cf
-                    )
-                if diameter <= threshold:
-                    leaf_mirror.absorb(entry_index, dn, batch.ls[i], batch.ss[i])
-                    buffer = self._buffer(leaf)
-                    buffer.absorbed_entry.append(entry_index)
-                    buffer.absorbed_item.append(i)
-                    absorbed = True
-            if not absorbed:
-                self._new_entry(leaf, batch, i)
-                leaf_mirror.append(dn, batch.ls[i], batch.ss[i])
-                self._buffer(leaf).new_items.append(i)
-
-            # Ancestor aggregates, mirrored incrementally (objects deferred).
-            dls = batch.ls[i]
-            for _, mirror, child_index in path:
-                mirror.note(child_index, dn, dls)
-
-            if absorbed:
-                stats.absorbed += 1
-            else:
-                stats.new_entries += 1
-                if leaf.entry_count() > tree.leaf_capacity:
-                    self._split(leaf, path, stats)
-                self._note_growth(i)
-
-    def _scan_scalar(self, batch: _Batch, stats: ScanStats) -> None:
-        """Scan a batch into a 1-dimensional tree.
-
-        Point batches alternate between speculative windows, decided in
-        bulk by :meth:`_speculate`, and the per-point loop of
-        :meth:`_scan_range`, which takes every point a window could not
-        verify (a new entry, a split, a routing guess that drifted) and
-        whole stretches of points while windows verify too few points per
-        node visited.  Entry batches (rebuild replays) take the per-point
-        loop throughout.
+        Speculative windows, decided in bulk by :meth:`_speculate`,
+        alternate with the per-item loop of :meth:`_scan_range`, which
+        takes every point a window could not verify (a new entry, a split,
+        a routing guess that drifted) and whole stretches of points while
+        windows verify too few points per node visited.
         """
-        xs = batch.ls[:, 0].tolist()
-        qs = batch.ss[:, 0].tolist()
-        if batch.entries is not None:
-            self._scan_range(batch, stats, xs, qs, 0, batch.size)
-            return
         position = 0
         # ``self._stop`` may shrink under a budget probe, but only inside
         # the per-point loop, which alone creates entries and splits nodes.
@@ -706,9 +635,7 @@ class BatchInserter:
             if not self._stretch_left and self._stop - position < need:
                 stop = self._stop
             if stop > position:
-                reached = self._scan_range(
-                    batch, stats, xs, qs, position, min(stop, self._stop)
-                )
+                reached = self._scan_range(batch, stats, position, min(stop, self._stop))
                 self._stretch_left = max(0, self._stretch_left - (reached - position))
                 position = reached
                 continue
@@ -720,9 +647,7 @@ class BatchInserter:
             if failed:
                 # The first unverified point takes the per-point step,
                 # which may create an entry or split a node.
-                position = self._scan_range(
-                    batch, stats, xs, qs, position, position + 1
-                )
+                position = self._scan_range(batch, stats, position, position + 1)
                 self._window = max(_WINDOW_ROWS_MIN, 2 * verified)
             else:
                 self._window = min(2 * rows, self._window_max)
@@ -799,11 +724,7 @@ class BatchInserter:
             mirror = mirrors.get(node)
             created = mirror is None
             if created:
-                mirror = (
-                    _LeafMirror1D(node)  # type: ignore[arg-type]
-                    if is_leaf
-                    else _InternalMirror1D([child.cf for child in node.children])  # type: ignore
-                )
+                mirror = _mirror(node, 1)
             k = mirror.count
             if not k:  # an empty leaf: its first point starts an entry
                 limit = first
@@ -917,31 +838,23 @@ class BatchInserter:
                     (guess[:taken], idx[:taken] + start)
                 )
 
-    def _scan_range(
-        self,
-        batch: _Batch,
-        stats: ScanStats,
-        xs: List[float],
-        qs: List[float],
-        start: int,
-        stop: int,
-    ) -> int:
-        """The per-point scan loop of a 1-dimensional tree over ``[start, stop)``.
+    def _scan_range(self, batch: _Batch, stats: ScanStats, start: int, stop: int) -> int:
+        """The per-item loop over ``[start, stop)``: every item's own descent,
+        absorb-or-start decision and split.
 
-        Decision-for-decision the same as :meth:`_scan_generic`: for
-        ``dimension == 1`` every numpy elementwise operation is a single
-        scalar IEEE-754 operation, which Python floats reproduce exactly,
-        including the merged-diameter formula and the first-minimum
-        tie-break of the routing scans.  Returns the row it stopped at:
-        ``stop``, or earlier where a budget probe cut the batch.
+        A point is routed by itself and an entry by its centroid
+        ``ls / n``.  Returns the row it stopped at: ``stop``, or earlier
+        where a budget probe cut the batch.
         """
         tree = self.tree
+        dimension = tree.dimension
         threshold = tree.threshold
         leaf_capacity = tree.leaf_capacity
         point_mode = batch.entries is None
         mirrors = self._mirrors
         buffers = self._buffers
-        ns = None if point_mode else batch.n.tolist()
+        xs, qs, totals, ns = batch.xs, batch.qs, batch.totals, batch.ns
+        min_count = batch.min_count
         absorbed_count = 0
         new_count = 0
         reached = stop
@@ -950,59 +863,47 @@ class BatchInserter:
             if i == reached:
                 break
             dls = xs[i]
-            dss = qs[i]
             if point_mode:
                 dn = 1
                 point = dls
             else:
                 dn = ns[i]
-                point = dls / dn  # the entry's centroid, routed like a point
+                point = dls / dn
 
             path: List[tuple] = []
             node = tree._root
             while not node.is_leaf:
                 mirror = mirrors.get(node)
                 if mirror is None:
-                    mirror = _InternalMirror1D([c.cf for c in node.children])  # type: ignore
-                    mirrors[node] = mirror
+                    mirror = mirrors[node] = _mirror(node, dimension)
                 child_index = mirror.route(point)
                 path.append((node, mirror, child_index))
                 node = node.children[child_index]  # type: ignore[attr-defined]
             leaf: LeafNode = node  # type: ignore[assignment]
             leaf_mirror = mirrors.get(leaf)
             if leaf_mirror is None:
-                leaf_mirror = _LeafMirror1D(leaf)
-                mirrors[leaf] = leaf_mirror
+                leaf_mirror = mirrors[leaf] = _mirror(leaf, dimension)
 
             absorbed = False
             if leaf_mirror.count:
                 entry_index = leaf_mirror.closest(point)
-                merged_n = leaf_mirror.n[entry_index] + dn
-                if merged_n < 2:
-                    diameter = 0.0
-                else:
-                    merged_ls = leaf_mirror.ls[entry_index] + dls
-                    merged_ss = leaf_mirror.ss[entry_index] + dss
-                    squared = (2.0 * merged_n * merged_ss - 2.0 * merged_ls * merged_ls) / (
-                        merged_n * (merged_n - 1)
-                    )
-                    diameter = sqrt(squared) if squared > 0.0 else 0.0
-                if diameter <= threshold:
-                    leaf_mirror.absorb(entry_index, dn, dls, dss)
+                if leaf_mirror.merged_diameter(entry_index, dn, dls, totals[i]) <= threshold:
+                    leaf_mirror.absorb(entry_index, dn, dls, qs[i])
                     buffer = buffers.get(leaf)
                     if buffer is None:
-                        buffer = _LeafBuffer()
-                        buffers[leaf] = buffer
+                        buffer = buffers[leaf] = _LeafBuffer()
                     buffer.absorbed_entry.append(entry_index)
                     buffer.absorbed_item.append(i)
                     absorbed = True
             if not absorbed:
+                if dn < min_count:
+                    batch.dropped.append(i)
+                    continue
                 self._new_entry(leaf, batch, i)
-                leaf_mirror.append(dn, dls, dss)
+                leaf_mirror.append(dn, dls, qs[i])
                 buffer = buffers.get(leaf)
                 if buffer is None:
-                    buffer = _LeafBuffer()
-                    buffers[leaf] = buffer
+                    buffer = buffers[leaf] = _LeafBuffer()
                 buffer.new_items.append(i)
 
             for _, mirror, child_index in path:
@@ -1068,36 +969,14 @@ class BatchInserter:
         self.tree._n_entries += 1
 
     # ------------------------------------------------------------------
-    # Mirrors
-    # ------------------------------------------------------------------
-
-    def _internal_mirror(self, node: InternalNode) -> _InternalMirror:
-        mirror = self._mirrors.get(node)
-        if mirror is None:
-            mirror = _InternalMirror(
-                [child.cf for child in node.children], node.branching + 1,
-                self.tree.dimension,
-            )
-            self._mirrors[node] = mirror
-        return mirror  # type: ignore[return-value]
-
-    def _leaf_mirror(self, leaf: LeafNode) -> _LeafMirror:
-        mirror = self._mirrors.get(leaf)
-        if mirror is None:
-            mirror = _LeafMirror(leaf, self.tree.dimension)
-            self._mirrors[leaf] = mirror
-        return mirror  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
     # Flush: deferred bulk application of buffered updates
     # ------------------------------------------------------------------
 
     def flush(self, stats: Optional[ScanStats] = None) -> None:
         """Apply every buffered update to the tree's object graph.
 
-        Every stored value takes its items one at a time in scan order, as
-        :meth:`~repro.birch.tree.ACFTree.insert_point` adds them: main
-        leaf-entry moments are copied from the mirrors, which accumulated
+        Every stored value takes its items one at a time in scan order:
+        main leaf-entry moments are copied from the mirrors, which accumulated
         them that way; cross moments are gathered, scattered with
         ``np.add.at`` (unbuffered, in index order) and written back; each
         node aggregate takes a running sum over every item that passed
@@ -1131,8 +1010,7 @@ class BatchInserter:
             entries = [leaf.entries[j] for j in touched.tolist()]
 
             # Main moments: authoritative values live in the mirror, which
-            # accumulated them point by point exactly as the sequential
-            # path would have.
+            # accumulated them item by item.
             mirror = self._mirrors[leaf]
             for j, entry in zip(touched.tolist(), entries):
                 cf = entry.cf

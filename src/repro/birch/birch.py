@@ -121,6 +121,11 @@ class BirchClusterer:
         See :class:`BirchOptions`.
     """
 
+    #: Whether :meth:`fit_arrays` and :meth:`fit_chunks` reject non-finite
+    #: input.  Off only in a subclass for callers that checked every column
+    #: already (:func:`repro.core.miner.fit_partition`).
+    _check_finite = True
+
     def __init__(
         self,
         partition: AttributePartition,
@@ -176,7 +181,7 @@ class BirchClusterer:
         """
         with span("phase1.fit", partition=self.partition.name) as fit_span:
             batches = self._batches(chunk.arrays for chunk in chunks)
-            result = self._run_scan(batches, validate=True)
+            result = self._run_scan(batches, validate=self._check_finite)
         return self._finish_fit(fit_span, result)
 
     def _finish_fit(self, fit_span, result: BirchResult) -> BirchResult:
@@ -234,14 +239,15 @@ class BirchClusterer:
                 raise ValueError(f"cross matrix {name!r} has mismatched row count")
         # Non-finite values would silently poison every moment downstream;
         # fail loudly at the boundary instead.
-        if points.size and not np.all(np.isfinite(points)):
-            raise ValueError(
-                f"partition {self.partition.name!r} contains non-finite values"
-            )
-        for name, matrix in cross_matrices.items():
-            matrix = np.asarray(matrix, dtype=np.float64)
-            if matrix.size and not np.all(np.isfinite(matrix)):
-                raise ValueError(f"cross matrix {name!r} contains non-finite values")
+        if self._check_finite:
+            if points.size and not np.all(np.isfinite(points)):
+                raise ValueError(
+                    f"partition {self.partition.name!r} contains non-finite values"
+                )
+            for name, matrix in cross_matrices.items():
+                matrix = np.asarray(matrix, dtype=np.float64)
+                if matrix.size and not np.all(np.isfinite(matrix)):
+                    raise ValueError(f"cross matrix {name!r} contains non-finite values")
 
         arrays = {self.partition.name: points, **cross_matrices}
         return self._run_scan(self._batches([arrays]), validate=False)
@@ -332,7 +338,7 @@ class BirchClusterer:
             # threshold": replay judges them against the outlier bar, not
             # the full frequency count (which Phase II applies later).
             stats.replay = store.replay_into(
-                tree, self._outlier_bar(stats.points_inserted)
+                tree, self._outlier_bar(stats.points_inserted), stats.scan
             )
 
         clusters = list(tree.entries())

@@ -3,15 +3,14 @@
 Per Section 6.1 of the paper: "An ACF-tree is a CF-tree with the leaf nodes
 modified to be ACFs.  The internal nodes remain CF nodes."  Leaf nodes hold
 lists of ACF entries (one per subcluster); internal nodes hold children and
-maintain an aggregate CF summary, updated incrementally along the insertion
-path, used to steer each new point toward the closest subtree.
+maintain an aggregate CF summary, used to steer each new point toward the
+closest subtree (the batch engine of :mod:`repro.birch.batch` routes and
+updates them).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.birch.features import ACF, CF
 
@@ -31,14 +30,6 @@ class Node:
     def cf(self) -> CF:
         """Aggregate CF of every tuple below this node."""
         return self._cf
-
-    def note_point(self, point: np.ndarray) -> None:
-        """Record that one tuple was inserted somewhere below this node."""
-        self._cf.add_point(point)
-
-    def note_cf(self, cf: CF) -> None:
-        """Record that a whole subcluster was inserted below this node."""
-        self._cf.merge(cf)
 
     @property
     def is_leaf(self) -> bool:  # pragma: no cover - abstract
@@ -88,36 +79,6 @@ class LeafNode(Node):
             cf.merge(entry.cf)
         self._cf = cf
 
-    def closest_entry(self, point: np.ndarray) -> Tuple[int, float]:
-        """Index of and centroid distance to the entry closest to ``point``.
-
-        Raises ``ValueError`` on an empty leaf.  Hot path: compares squared
-        distances entry by entry instead of stacking centroids.  A squared
-        distance is the plain sum of squared deltas, the arithmetic the
-        batch engine's row-wise scores use (a BLAS dot may fuse or reorder
-        the adds, and a last-bit difference can flip a near tie).
-        """
-        if not self.entries:
-            raise ValueError("closest_entry on an empty leaf")
-        point = np.asarray(point, dtype=np.float64)
-        best_index = -1
-        best_squared = np.inf
-        for index, entry in enumerate(self.entries):
-            cf = entry.cf
-            if cf.n == 0:
-                # An n == 0 entry (possible transiently during rebuild
-                # replay) has no centroid; dividing through would produce
-                # NaN distances and nondeterministic routing.
-                continue
-            delta = cf.ls / cf.n - point
-            squared = float((delta * delta).sum())
-            if squared < best_squared:
-                best_index = index
-                best_squared = squared
-        if best_index < 0:
-            raise ValueError("closest_entry on a leaf with only empty entries")
-        return best_index, float(np.sqrt(best_squared))
-
     def add_entry(self, entry: ACF) -> None:
         """Append ``entry`` and fold it into the node CF."""
         self.entries.append(entry)
@@ -156,29 +117,3 @@ class InternalNode(Node):
         """Attach ``child`` and take ownership (sets its parent)."""
         self.children.append(child)
         child.parent = self
-
-    def closest_child(self, point: np.ndarray) -> Node:
-        """The child whose aggregate centroid is closest to ``point``.
-
-        Hot path: one squared distance per child, summed as in
-        :meth:`LeafNode.closest_entry`.
-        """
-        if not self.children:
-            raise ValueError("closest_child on an empty internal node")
-        point = np.asarray(point, dtype=np.float64)
-        best: Optional[Node] = None
-        best_squared = np.inf
-        for child in self.children:
-            cf = child.cf
-            if cf.n == 0:
-                continue
-            delta = cf.ls / cf.n - point
-            squared = float((delta * delta).sum())
-            if squared < best_squared:
-                best = child
-                best_squared = squared
-        if best is None:
-            # All children empty (possible transiently during a rebuild):
-            # descend anywhere.
-            return self.children[0]
-        return best

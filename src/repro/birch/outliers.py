@@ -16,9 +16,10 @@ versus confirmed as outliers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from repro.birch.features import ACF, merged_rms_diameter
+from repro.birch.batch import ScanStats
+from repro.birch.features import ACF
 from repro.birch.memory import MemoryModel
 from repro.birch.tree import ACFTree
 
@@ -71,28 +72,26 @@ class OutlierStore:
         """Take ownership of entries evicted from the tree."""
         self._entries.extend(entries)
 
-    def replay_into(self, tree: ACFTree, min_count: int) -> ReplayReport:
+    def replay_into(
+        self, tree: ACFTree, min_count: int, stats: Optional[ScanStats] = None
+    ) -> ReplayReport:
         """Re-insert stored entries that belong; confirm the rest as outliers.
 
-        A stored entry is *absorbed* (re-inserted) when it would merge into
-        an existing subcluster within the tree's diameter threshold, or
-        when it grew past ``min_count`` while paged out (it may have merged
-        with other strays before paging) and is therefore a real cluster in
-        its own right.  Everything else is a confirmed outlier: it is never
+        One batch-engine pass over the stored entries, in store order.  A
+        stored entry is *absorbed* (re-inserted) when it merges into an
+        existing subcluster within the tree's diameter threshold, or when
+        it grew past ``min_count`` while paged out (it may have merged with
+        other strays before paging) and is therefore a real cluster in its
+        own right.  Everything else is a confirmed outlier: it is never
         inserted, matching the paper's reading that outliers are excluded
-        from Phase II.  The store is drained either way.
+        from Phase II.  The store is drained either way.  ``stats`` (when
+        given) accumulates the pass's scan instrumentation.
         """
-        report = ReplayReport()
-        for entry in self._entries:
-            closest = tree.closest_entry(entry.centroid)
-            mergeable = (
-                closest is not None
-                and merged_rms_diameter(closest.cf, entry.cf) <= tree.threshold
-            )
-            if mergeable or entry.n >= min_count:
-                tree.insert_entry(entry)
-                report.absorbed += 1
-            else:
-                report.confirmed_outliers.append(entry)
+        stats = stats if stats is not None else ScanStats()
+        dropped = tree._insert_entries(self._entries, stats, min_count)
+        report = ReplayReport(
+            absorbed=len(self._entries) - len(dropped),
+            confirmed_outliers=[self._entries[i] for i in dropped],
+        )
         self._entries.clear()
         return report

@@ -48,10 +48,8 @@ def rebuild_tree(
             leaf_capacity=tree.leaf_capacity,
             cross_dimensions=tree.cross_dimensions,
         )
-        # Copies: insertion may merge subsequent entries INTO an earlier one,
-        # and the original tree still references them — rebuilds must not
-        # mutate their input.
-        rebuilt.insert_entries([entry.copy() for entry in tree.entries()], stats=stats)
+        # The engine copies the entries it keeps: the input is not mutated.
+        rebuilt.insert_entries(tree.entries(), stats=stats)
         if stats is not None:
             stats.rebuilds += 1
         rebuild_span.set("entries", rebuilt.summary_counts()[0])
@@ -86,6 +84,5 @@ def split_off_outlier_entries(
         leaf_capacity=tree.leaf_capacity,
         cross_dimensions=tree.cross_dimensions,
     )
-    # see rebuild_tree on why the entries are copied
-    rebuilt.insert_entries([entry.copy() for entry in keep], stats=stats)
+    rebuilt.insert_entries(keep, stats=stats)
     return rebuilt, outliers

@@ -1,12 +1,13 @@
 """The ACF-tree: a height-balanced tree of cluster summaries.
 
 This is the Phase I data structure of the paper (Sections 3, 4.3.1 and 6.1):
-a CF-tree in the style of BIRCH [ZRL96] whose leaf entries are ACFs.  Points
-are inserted one at a time; each point descends to the leaf whose subtree
-centroid is closest, is absorbed into the closest leaf entry if doing so
-keeps the entry's (RMS) diameter under the current *diameter threshold*, and
-otherwise starts a new entry.  Full nodes split exactly as in a B+-tree,
-with the farthest pair of entries seeding the two halves.
+a CF-tree in the style of BIRCH [ZRL96] whose leaf entries are ACFs.  Each
+point descends to the leaf whose subtree centroid is closest, is absorbed
+into the closest leaf entry if doing so keeps the entry's (RMS) diameter
+under the current *diameter threshold*, and otherwise starts a new entry.
+Full nodes split exactly as in a B+-tree, with the farthest pair of entries
+seeding the two halves.  Every insertion, of points or of whole
+subclusters, runs through the batch engine of :mod:`repro.birch.batch`.
 
 The tree knows how many bytes its summaries occupy (see
 :mod:`repro.birch.memory`), which is what drives the adaptive behaviour:
@@ -22,22 +23,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.birch.batch import BatchInserter, ScanStats, _Batch
-from repro.birch.features import ACF, CF, merged_rms_diameter
+from repro.birch.features import ACF, CF
 from repro.birch.memory import _BudgetProbe
 from repro.birch.node import InternalNode, LeafNode, Node
 
 __all__ = ["ACFTree"]
-
-
-def _merged_point_rms_diameter(cf: CF, point: np.ndarray) -> float:
-    """RMS diameter of ``cf`` plus one point, without building a CF for it."""
-    n = cf.n + 1
-    if n < 2:
-        return 0.0
-    ls = cf.ls + point
-    ss = cf.ss_total + float(point @ point)
-    squared = (2.0 * n * ss - 2.0 * float(ls @ ls)) / (n * (n - 1))
-    return float(np.sqrt(max(squared, 0.0)))
 
 
 def _farthest_pair(centroids: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -126,8 +116,7 @@ class ACFTree:
         self._n_leaves = 1
         self._n_internal = 0
         # Lazily-created batch engine; its mirror caches survive across
-        # insert_points calls but must be dropped whenever the sequential
-        # mutators touch the tree behind its back.
+        # batches and are dropped with it by state_dict.
         self._batch_engine: Optional[BatchInserter] = None
 
     # ------------------------------------------------------------------
@@ -185,53 +174,6 @@ class ACFTree:
     # Insertion
     # ------------------------------------------------------------------
 
-    def insert_point(
-        self, point: np.ndarray, cross_values: Optional[Mapping[str, np.ndarray]] = None
-    ) -> None:
-        """Insert one tuple's projection (plus its cross projections).
-
-        Fast path of the scan loop: when the point is absorbed by an
-        existing subcluster (the overwhelmingly common case once the tree
-        has warmed up), only in-place moment updates happen — no ACF is
-        materialized for the point.
-        """
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.dimension,):
-            raise ValueError(
-                f"point has shape {point.shape}, tree dimension is {self.dimension}"
-            )
-        cross_values = cross_values or {}
-        if set(cross_values) != set(self.cross_dimensions):
-            raise ValueError(
-                f"cross values for {sorted(cross_values)} do not match the "
-                f"tree's cross partitions {sorted(self.cross_dimensions)}"
-            )
-        self._batch_engine = None  # mirrors would go stale
-
-        path: List[InternalNode] = []
-        node = self._root
-        while not node.is_leaf:
-            path.append(node)  # type: ignore[arg-type]
-            node = node.closest_child(point)  # type: ignore[attr-defined]
-        leaf: LeafNode = node  # type: ignore[assignment]
-
-        absorbed = False
-        if leaf.entries:
-            index, _ = leaf.closest_entry(point)
-            candidate = leaf.entries[index]
-            if _merged_point_rms_diameter(candidate.cf, point) <= self.threshold:
-                candidate.add_point(point, cross_values)
-                leaf.note_point(point)
-                absorbed = True
-        if not absorbed:
-            leaf.add_entry(ACF.of_point(point, cross_values))
-            self._n_entries += 1
-        for ancestor in path:
-            ancestor.note_point(point)
-        if not absorbed and leaf.entry_count() > self.leaf_capacity:
-            self._split_leaf(leaf)
-        self._n_points += 1
-
     def insert_points(
         self,
         points: np.ndarray,
@@ -242,12 +184,11 @@ class ACFTree:
 
         ``points`` is ``(n, dimension)``; ``cross_values`` maps each
         declared cross partition to its ``(n, arity)`` matrix of the same
-        tuples.  The resulting tree is byte for byte the tree ``n``
-        sequential :meth:`insert_point` calls in row order leave, wherever
-        the caller cuts its batches — routing and absorption decisions are
-        made one point at a time against incrementally updated centroid
-        caches, and the deferred moment bookkeeping adds every point in
-        scan order (see :mod:`repro.birch.batch`).
+        tuples.  Routing and absorption decisions are made one point at a
+        time, in row order, against incrementally updated centroid caches,
+        and the deferred moment bookkeeping adds every point in scan order
+        (see :mod:`repro.birch.batch`), so the resulting tree is byte for
+        byte the same wherever the caller cuts its batches.
 
         Pass an existing :class:`ScanStats` to accumulate instrumentation
         across batches; one is created (and returned) otherwise.
@@ -288,7 +229,7 @@ class ACFTree:
         stats = stats if stats is not None else ScanStats()
         if points.shape[0] == 0:
             return stats
-        self._engine().run(_Batch.of_points(points, cross_values), stats, probe)
+        self._engine().run(lambda: _Batch.of_points(points, cross_values), stats, probe)
         return stats
 
     def insert_entries(
@@ -296,15 +237,26 @@ class ACFTree:
     ) -> ScanStats:
         """Insert a batch of subcluster summaries through the batch engine.
 
-        The batched twin of :meth:`insert_entry`, used by rebuilds and
-        outlier paging so coarsening re-insertion rides the same vectorized
-        path as the scan.  The engine copies any entry it keeps as a new
+        Each entry is routed by its centroid and merges into the closest
+        leaf entry when the merged diameter stays within the threshold, or
+        else starts an entry of its own.  Rebuilds re-insert a tree's leaf
+        entries this way.  The engine copies any entry it keeps as a new
         leaf entry, so callers retain ownership of ``entries``.
         """
-        entries = list(entries)
         stats = stats if stats is not None else ScanStats()
+        self._insert_entries(entries, stats)
+        return stats
+
+    def _insert_entries(
+        self, entries: Sequence[ACF], stats: ScanStats, min_count: int = 0
+    ) -> List[int]:
+        """:meth:`insert_entries` for outlier replay: an entry that no
+        existing entry absorbs and that has fewer than ``min_count`` tuples
+        is left out of the tree (no entry, no ancestor aggregate, no
+        ``n_points``).  Returns the indices of the entries left out."""
+        entries = list(entries)
         if not entries:
-            return stats
+            return []
         layout = set(self.cross_dimensions)
         for entry in entries:
             if entry.cf.dimension != self.dimension:
@@ -314,43 +266,13 @@ class ACFTree:
                     f"entry cross partitions {sorted(entry.cross)} do not match "
                     f"the tree's {sorted(layout)}"
                 )
-        self._engine().run(_Batch.of_entries(entries), stats)
-        return stats
+        batch = self._engine().run(lambda: _Batch.of_entries(entries, min_count), stats)
+        return batch.dropped
 
     def _engine(self) -> BatchInserter:
         if self._batch_engine is None:
             self._batch_engine = BatchInserter(self)
         return self._batch_engine
-
-    def insert_entry(self, entry: ACF) -> None:
-        """Insert a whole subcluster (used by rebuilds and outlier replay)."""
-        if entry.cf.dimension != self.dimension:
-            raise ValueError("entry dimension does not match tree dimension")
-        self._batch_engine = None  # mirrors would go stale
-        self._n_points += entry.n
-        point = entry.centroid
-        path: List[InternalNode] = []
-        node = self._root
-        while not node.is_leaf:
-            path.append(node)  # type: ignore[arg-type]
-            node = node.closest_child(point)  # type: ignore[attr-defined]
-        leaf: LeafNode = node  # type: ignore[assignment]
-
-        absorbed = False
-        if leaf.entries:
-            index, _ = leaf.closest_entry(point)
-            candidate = leaf.entries[index]
-            if merged_rms_diameter(candidate.cf, entry.cf) <= self.threshold:
-                candidate.merge(entry)
-                leaf.note_cf(entry.cf)
-                absorbed = True
-        if not absorbed:
-            leaf.add_entry(entry)
-            self._n_entries += 1
-        for ancestor in path:
-            ancestor.note_cf(entry.cf)
-        if not absorbed and leaf.entry_count() > self.leaf_capacity:
-            self._split_leaf(leaf)
 
     # ------------------------------------------------------------------
     # Splitting
@@ -421,28 +343,6 @@ class ACFTree:
         self._replace_child(node, left, right)
         self._n_splits += 1
         self._n_internal += 1
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-
-    def closest_entry(self, point: np.ndarray) -> Optional[ACF]:
-        """Greedy closest-centroid descent (used to label tuples, §4.3.2).
-
-        Returns ``None`` on an empty tree.  Because descent is greedy, this
-        is the same approximate assignment the paper describes ("this
-        cluster may not be the same cluster to which the tuple was assigned
-        when it was originally inserted").
-        """
-        point = np.asarray(point, dtype=np.float64)
-        node = self._root
-        while not node.is_leaf:
-            node = node.closest_child(point)  # type: ignore[attr-defined]
-        leaf: LeafNode = node  # type: ignore[assignment]
-        if not leaf.entries:
-            return None
-        index, _ = leaf.closest_entry(point)
-        return leaf.entries[index]
 
     # ------------------------------------------------------------------
     # Memory accounting (see repro.birch.memory for the byte model)

@@ -411,6 +411,14 @@ class DARMiner:
         return masks
 
 
+class _CheckedClusterer(BirchClusterer):
+    """A clusterer over columns :meth:`DARMiner._validate_matrices` has
+    already checked: its scans skip the finiteness checks, so a mine checks
+    each column once instead of once per partition that reads it."""
+
+    _check_finite = False
+
+
 def fit_partition(
     partition: AttributePartition,
     partition_list: Sequence[AttributePartition],
@@ -423,10 +431,11 @@ def fit_partition(
     The other partitions' matrices feed the cross moments.  With
     ``chunk_rows`` the scan streams fixed-size chunks, so one chunk of each
     (memory-mapped) matrix is resident at a time; chunk cuts never change
-    the tree.
+    the tree.  The matrices must be finite: the miner checks them once,
+    before Phase I.
     """
     others = [p for p in partition_list if p.name != partition.name]
-    clusterer = BirchClusterer(partition, others, options)
+    clusterer = _CheckedClusterer(partition, others, options)
     if chunk_rows is not None:
         result = clusterer.fit_chunks(ChunkIterator(dict(matrices), chunk_rows))
     else:

@@ -2,7 +2,8 @@
 
 The contract of :meth:`ACFTree.insert_points` / :meth:`insert_entries`
 (see :mod:`repro.birch.batch`) is decision equivalence: same routing, same
-absorb-vs-new choices, same splits as the per-point loop.  The checks here
+absorb-vs-new choices, same splits as the sequential oracle of
+:mod:`tests.birch.reference_scan`.  The checks here
 compare entry multisets within a tolerance; byte identity of the whole
 tree at any batch cut is ``test_scan_exactness.py``'s.
 """
@@ -14,6 +15,8 @@ from repro.birch.batch import ScanStats
 from repro.birch.features import ACF
 from repro.birch.rebuild import rebuild_tree
 from repro.birch.tree import ACFTree
+
+from tests.birch.reference_scan import insert_entry, insert_point
 
 
 def make_tree(dim=1, threshold=0.5, branching=3, leaf_capacity=3, cross=None):
@@ -29,7 +32,7 @@ def make_tree(dim=1, threshold=0.5, branching=3, leaf_capacity=3, cross=None):
 def sequential_fill(tree, points, cross):
     names = list(cross)
     for i in range(points.shape[0]):
-        tree.insert_point(points[i], {name: cross[name][i] for name in names})
+        insert_point(tree, points[i], {name: cross[name][i] for name in names})
     return tree
 
 
@@ -125,14 +128,14 @@ class TestPointEquivalence:
         assert stats.batches == 8
 
     def test_interleaved_point_inserts_invalidate_engine(self):
-        """insert_point between batches must not leave stale mirror caches."""
+        """Oracle inserts between batches must not leave stale mirror caches."""
         rng = np.random.default_rng(15)
         points = rng.normal(size=(600, 1)) * 10
         seq = sequential_fill(make_tree(threshold=0.3), points, {})
         mixed = make_tree(threshold=0.3)
         mixed.insert_points(points[:200])
         for i in range(200, 400):
-            mixed.insert_point(points[i])
+            insert_point(mixed, points[i])
         mixed.insert_points(points[400:])
         assert_trees_equivalent(seq, mixed)
 
@@ -157,7 +160,7 @@ class TestEntryEquivalence:
         ]
         seq = make_tree(dim=dim, threshold=2.0)
         for entry in entries:
-            seq.insert_entry(entry.copy())
+            insert_entry(seq, entry.copy())
         bat = make_tree(dim=dim, threshold=2.0)
         bat.insert_entries([entry.copy() for entry in entries])
         assert_trees_equivalent(seq, bat)
@@ -178,7 +181,7 @@ class TestEntryEquivalence:
 
         replay = make_tree(threshold=4.0)
         for entry in tree.entries():
-            replay.insert_entry(entry.copy())
+            insert_entry(replay, entry.copy())
 
         stats = ScanStats()
         rebuilt = rebuild_tree(tree, 4.0, stats=stats)

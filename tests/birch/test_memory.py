@@ -43,7 +43,7 @@ class TestMemoryModel:
     def test_actual_tree_accounting(self):
         tree = ACFTree(dimension=1, threshold=0.0, branching=4, leaf_capacity=4)
         for value in range(30):
-            tree.insert_point(np.array([float(value)]))
+            tree.insert_points(np.array([[float(value)]]))
         m = model()
         n_entries, n_leaves, n_internal = tree.summary_counts()
         total = m.tree_bytes(n_entries, n_leaves, n_internal)
@@ -57,27 +57,27 @@ class TestThresholdSchedule:
 
     def test_zero_threshold_gets_initial_step(self):
         tree = ACFTree(dimension=1, threshold=0.0)
-        tree.insert_point(np.array([0.0]))
+        tree.insert_points(np.array([[0.0]]))
         schedule = ThresholdSchedule(initial_step=0.01)
         assert schedule.next_threshold(tree) >= 0.01
 
     def test_next_threshold_strictly_increases(self):
         tree = ACFTree(dimension=1, threshold=1.0)
         for value in (0.0, 10.0, 20.0):
-            tree.insert_point(np.array([value]))
+            tree.insert_points(np.array([[value]]))
         schedule = ThresholdSchedule()
         assert schedule.next_threshold(tree) > tree.threshold
 
     def test_next_threshold_reaches_closest_pair(self):
         """With co-leaf entries 5 apart, the next threshold must allow a merge."""
         tree = ACFTree(dimension=1, threshold=0.1, leaf_capacity=8)
-        tree.insert_point(np.array([0.0]))
-        tree.insert_point(np.array([5.0]))
+        tree.insert_points(np.array([[0.0]]))
+        tree.insert_points(np.array([[5.0]]))
         schedule = ThresholdSchedule(growth_factor=1.5)
         assert schedule.next_threshold(tree) >= 5.0
 
     def test_multiplicative_bump_when_leaves_are_singletons(self):
         tree = ACFTree(dimension=1, threshold=2.0, leaf_capacity=2, branching=2)
-        tree.insert_point(np.array([0.0]))
+        tree.insert_points(np.array([[0.0]]))
         schedule = ThresholdSchedule(growth_factor=3.0)
         assert schedule.next_threshold(tree) == pytest.approx(6.0)

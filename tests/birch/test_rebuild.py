@@ -16,8 +16,8 @@ def filled_tree(values, threshold=0.2, cross=False):
         cross_dimensions=cross_dims,
     )
     for value in values:
-        cross_values = {"y": np.array([value * 2.0])} if cross else {}
-        tree.insert_point(np.array([float(value)]), cross_values)
+        cross_values = {"y": np.array([[value * 2.0]])} if cross else {}
+        tree.insert_points(np.array([[float(value)]]), cross_values)
     return tree
 
 

@@ -11,8 +11,9 @@ zeros, thresholds equal to exact merged diameters, small nodes that split
 mid-window, and batch cuts anywhere.
 
 The flush adds every deferred value in scan order, so the tree is also the
-one :meth:`ACFTree.insert_point` builds point by point, at any batch cut,
-over arbitrary finite floats, in one dimension or several.  And a budgeted
+one the sequential oracle :func:`~tests.birch.reference_scan.insert_point`
+builds point by point, at any batch cut, over arbitrary finite floats, in
+one dimension or several.  And a budgeted
 scan probes its budget exactly where a probe every
 ``_MEMORY_CHECK_INTERVAL`` rows would find it exceeded, so it takes the
 fixed-cadence scan's rebuilds and pages
@@ -40,7 +41,14 @@ from repro.birch.tree import ACFTree
 from repro.data.columnar import ChunkIterator
 from repro.data.relation import AttributePartition
 
-from tests.birch.reference_scan import CadenceClusterer, ReferenceTree, walk_counts
+from tests.birch.reference_scan import (
+    CadenceClusterer,
+    ReferenceTree,
+    closest_child,
+    closest_in_leaf,
+    insert_point,
+    walk_counts,
+)
 
 
 def fill(tree_class, points, cross, threshold, branching, leaf_capacity, batch_rows):
@@ -267,7 +275,7 @@ def empty_tree(case):
 def point_by_point(case):
     tree = empty_tree(case)
     for i, point in enumerate(case["points"]):
-        tree.insert_point(point, {name: m[i] for name, m in case["cross"].items()})
+        insert_point(tree, point, {name: m[i] for name, m in case["cross"].items()})
     return tree
 
 
@@ -316,7 +324,7 @@ def test_full_mantissa_scans_do_not_depend_on_cuts():
 def test_routing_ties_break_alike(dim):
     """Centroids that permute one vector's coordinates are equally far from
     any point on the diagonal, so rounding alone picks the closest: the
-    per-point routing and the engine's mirrors must sum the squared deltas
+    oracle's routing and the engine's mirrors must sum the squared deltas
     alike (numpy sums 8 or more of them pairwise)."""
     rng = np.random.default_rng(dim)
     for _ in range(300):
@@ -329,10 +337,10 @@ def test_routing_ties_break_alike(dim):
             child.add_entry(ACF.of_point(rng.permutation(base), {}))
             node.add_child(child)
         point = np.full(dim, rng.normal())
-        mirror = batch_module._LeafMirror(leaf, dim)
-        assert mirror.closest(point) == leaf.closest_entry(point)[0]
-        slots = batch_module._InternalMirror([c.cf for c in node.children], 8, dim)
-        assert node.children[slots.route(point)] is node.closest_child(point)
+        mirror = batch_module._mirror(leaf, dim)
+        assert mirror.closest(point) == closest_in_leaf(leaf, point)
+        slots = batch_module._mirror(node, dim)
+        assert node.children[slots.route(point)] is closest_child(node, point)
 
 
 # ---------------------------------------------------------------------------

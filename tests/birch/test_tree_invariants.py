@@ -85,7 +85,7 @@ points_1d = st.lists(
 def test_invariants_sequential(values, threshold):
     tree = ACFTree(1, threshold, branching=3, leaf_capacity=3)
     for value in values:
-        tree.insert_point(np.array([value]))
+        tree.insert_points(np.array([[value]]))
     assert_invariants(tree)
 
 
@@ -104,13 +104,13 @@ def test_invariants_batch(values, threshold):
 )
 @settings(max_examples=20, deadline=None)
 def test_invariants_mixed_sequential_and_batch(values, split_at, threshold):
-    """Batches interleaved with single-point inserts keep the tree sound."""
+    """Batches interleaved with single-point batches keep the tree sound."""
     points = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     split_at = min(split_at, len(values))
     tree = ACFTree(1, threshold, branching=3, leaf_capacity=3)
     tree.insert_points(points[:split_at])
     for i in range(split_at, len(values)):
-        tree.insert_point(points[i])
+        tree.insert_points(points[i : i + 1])
     assert_invariants(tree)
 
 

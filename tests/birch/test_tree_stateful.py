@@ -45,7 +45,7 @@ class TreeMachine(RuleBasedStateMachine):
 
     @rule(value=values)
     def insert_point(self, value):
-        self.tree.insert_point(np.array([value]))
+        self.tree.insert_points(np.array([[value]]))
         self.total_points += 1
         self.total_sum += value
         self.total_square_sum += value * value
@@ -57,7 +57,7 @@ class TreeMachine(RuleBasedStateMachine):
         self.max_inserted_diameter = max(
             self.max_inserted_diameter, entry.rms_diameter
         )
-        self.tree.insert_entry(entry)
+        self.tree.insert_entries([entry])
         self.total_points += len(values_chunk)
         self.total_sum += float(points.sum())
         self.total_square_sum += float((points**2).sum())

@@ -5,8 +5,11 @@ import pytest
 
 from repro.core.config import DARConfig
 from repro.core.miner import DARMiner
+from repro.data.columnar import ColumnStore
 from repro.data.relation import AttributePartition, Relation, Schema
 from repro.data.synthetic import make_clustered_relation, make_planted_rule_relation
+from repro.parallel import ParallelDARMiner
+from repro.resilience import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,38 @@ class TestValidation:
         ]
         with pytest.raises(ValueError, match="unique"):
             DARMiner().mine(relation, partitions)
+
+
+    @pytest.mark.parametrize("mode", ["serial", "workers", "out_of_core"])
+    def test_non_finite_value_named_in_every_mode(self, mode, tmp_path):
+        relation, _ = make_planted_rule_relation(seed=7, points_per_mode=100)
+        columns = {name: relation.column(name).copy() for name in relation.schema.names}
+        bad = relation.schema.names[1]
+        columns[bad][17] = np.nan
+        relation = Relation(relation.schema, columns)
+        source = relation
+        if mode == "out_of_core":
+            source = ColumnStore.from_relation(relation, directory=tmp_path / "s", chunk_rows=64)
+        miner = ParallelDARMiner(DARConfig(), workers=2) if mode == "workers" else DARMiner()
+        with pytest.raises(ValidationError, match=f"'{bad}'.*1 non-finite"):
+            miner.mine(source)
+
+    def test_each_column_checked_once_per_mine(self, monkeypatch):
+        """The miner checks every column up front; the partition scans,
+        which read every column again for their cross moments, do not."""
+        relation, _ = make_planted_rule_relation(seed=7)
+        checked = []
+        isfinite = np.isfinite
+
+        def counting(values, *args, **kwargs):
+            if np.ndim(values) == 2 and len(values) == len(relation):
+                checked.append(values.shape[1])
+            return isfinite(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        result = DARMiner().mine(relation)
+        assert len(result.phase1) == len(relation.schema.names) > 1
+        assert checked == [1] * len(relation.schema.names)
 
 
 class TestPhase1:
