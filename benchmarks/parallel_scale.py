@@ -3,8 +3,9 @@
 Mines :func:`paper_scale.workload` (30 WBCD attributes, 5 MB cap by
 default) with ``DARMiner``, ``ParallelDARMiner(workers=1)`` and
 ``ParallelDARMiner(workers=2)``, in that order, ``--repeats`` times in one
-process, and prints one JSON line per mine with its wall seconds and rule
-count.  Every mode must give the same rules; the script exits 1 if not::
+process, and prints one JSON line per mine with its wall seconds, its
+Phase II seconds (``result.phase2.seconds``) and its rule count.  Every
+mode must give the same rules; the script exits 1 if not::
 
     PYTHONPATH=src python benchmarks/parallel_scale.py --size 25000 --repeats 3
 
@@ -50,6 +51,7 @@ def main(argv=None) -> int:
             listings.add(tuple(f"{rule} {rule.degree!r}" for rule in result.rules))
             print(json.dumps({
                 "repeat": repeat, "mode": mode, "mine_s": round(seconds, 3),
+                "phase2_s": round(result.phase2.seconds, 3),
                 "rules": len(result.rules),
             }), flush=True)
     if len(listings) != 1:

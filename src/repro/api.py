@@ -78,9 +78,9 @@ def mine(
     application); ``None`` mines all consequents.  ``policy`` — a
     :class:`~repro.resilience.guard.GuardPolicy` tuning the ladder.
 
-    ``engine="parallel"`` fans Phase I partitions and Phase II row blocks
-    out over ``workers`` processes via
-    :class:`repro.parallel.ParallelDARMiner`; results are bit-identical
+    ``engine="parallel"`` fans the Phase I partition scans out over
+    ``workers`` processes via :class:`repro.parallel.ParallelDARMiner`
+    (Phase II runs in process on every engine); results are bit-identical
     to the serial engine, and a worker-pool failure degrades to serial
     with the event recorded in ``result.phase2.events``.  The worker
     count resolves in a fixed order (see

@@ -927,6 +927,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_seconds=args.drain_seconds,
         slo_pack=slo_pack,
     ) as server:
+        # Handlers go in before the banner: a supervisor may signal as
+        # soon as it has read the port.
+        stop = threading.Event()
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                signal.signal(signum, lambda *_: stop.set())
         server.start()
         host, port = server.address
         print(
@@ -937,10 +943,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if slo_pack is not None:
             print(f"# slo pack: {len(slo_pack)} rule(s) on /healthz", flush=True)
         print("# endpoints: /rules /healthz /metrics", flush=True)
-        stop = threading.Event()
-        if threading.current_thread() is threading.main_thread():
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                signal.signal(signum, lambda *_: stop.set())
         stop.wait()
     print("# shut down cleanly", file=sys.stderr)
     return 0

@@ -31,7 +31,6 @@ from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
 from repro.core.graph import ClusteringGraph
 from repro.core.phase2 import Phase2Stats, postscan, run_phase2
-from repro.core.phase2_kernel import Phase2Kernel
 from repro.core.rules import DistanceRule, RuleList
 from repro.data.columnar.chunks import ChunkIterator
 from repro.data.columnar.store import ColumnStore
@@ -213,7 +212,6 @@ class DARMiner:
             degree,
             n_clusters=sum(len(c) for c in all_clusters.values()),
             targets=target_set,
-            kernel_factory=self._make_kernel,
             postprocess=(lambda rules: postscan(
                 self.config,
                 rules,
@@ -236,7 +234,7 @@ class DARMiner:
         )
 
     # ------------------------------------------------------------------
-    # Phase hooks — the seams the parallel engine overrides
+    # Phase I hooks — the parallel engine overrides _fit_partitions
     # ------------------------------------------------------------------
 
     def _run_phase1(
@@ -285,8 +283,7 @@ class DARMiner:
 
         Serial here, in ``partition_list`` order;
         :class:`repro.parallel.ParallelDARMiner` overrides only this method
-        (and :meth:`_make_kernel`) to run the same :func:`fit_partition`
-        calls in worker processes.
+        to run the same :func:`fit_partition` calls in worker processes.
         """
         return {
             partition.name: fit_partition(
@@ -308,16 +305,6 @@ class DARMiner:
             initial_threshold=density[partition.name],
             frequency_fraction=self.config.frequency_fraction,
         )
-
-    def _make_kernel(self, flat_frequent: Sequence[Cluster]) -> Phase2Kernel:
-        """Construct the vector Phase II kernel over the frequent clusters.
-
-        The parallel miner overrides this to return a kernel whose blocked
-        pairwise computation is tiled across the worker pool; everything
-        downstream (graph build, assoc sets, rule degrees) reads the same
-        cached matrices either way.
-        """
-        return Phase2Kernel(flat_frequent, metric=self.config.metric)
 
     # ------------------------------------------------------------------
 

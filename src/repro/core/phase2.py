@@ -7,12 +7,12 @@ clustering graph (Dfn 6.1), enumerates its maximal cliques, computes the
 arity bounds.  Where those clusters came from does not matter — a batch
 Phase I scan, a live stream's trees, or the mixed nominal/interval
 populations of Section 8 — so :func:`run_phase2` is the only place the
-sequence is written.  Callers supply only what differs: the kernel
-factory (the parallel miner tiles the pairwise blocks over its pool), a
-per-partition leniency override (nominal thresholds are already
-fractions), and a ``postprocess`` step timed as the ``phase2.postscan``
-stage (the mixed miner's taxonomy-level filter, and in both data-holding
-miners the support :func:`postscan`).
+sequence is written, and it always runs in process on one
+:class:`~repro.core.phase2_kernel.Phase2Kernel`.  Callers supply only what
+differs: a per-partition leniency override (nominal thresholds are
+already fractions), and a ``postprocess`` step timed as the
+``phase2.postscan`` stage (the mixed miner's taxonomy-level filter, and
+in both data-holding miners the support :func:`postscan`).
 """
 
 from __future__ import annotations
@@ -160,7 +160,6 @@ class Phase2Output(NamedTuple):
     stats: Phase2Stats
 
 
-KernelFactory = Callable[[Sequence[Cluster]], Phase2Kernel]
 RuleStep = Callable[[List[DistanceRule]], List[DistanceRule]]
 
 
@@ -173,7 +172,6 @@ def run_phase2(
     n_clusters: int,
     targets: Optional[FrozenSet[str]] = None,
     leniency: Optional[Mapping[str, float]] = None,
-    kernel_factory: Optional[KernelFactory] = None,
     postprocess: Optional[RuleStep] = None,
     span_attributes: Optional[Mapping[str, Any]] = None,
 ) -> Phase2Output:
@@ -182,9 +180,9 @@ def run_phase2(
     Graph edges use ``leniency[name] x d0`` per partition, with
     ``config.phase2_leniency`` for every partition ``leniency`` does not
     name (Section 6.2: a more lenient Phase II threshold gives better
-    rules).  ``kernel_factory`` builds the distance kernel every stage
-    reads (default: a serial :class:`Phase2Kernel`); a failure there, or
-    in any later stage, propagates to the caller.  Rules are
+    rules).  One :class:`Phase2Kernel` over the frequent clusters holds
+    the distances every stage reads; a failure there, or in any later
+    stage, propagates to the caller.  Rules are
     formed only over ``targets`` consequents when given, then passed
     through ``postprocess`` (in a ``phase2.postscan`` span, so its time is
     Phase II time).  The stats are published to the metrics registry
@@ -208,10 +206,7 @@ def run_phase2(
             # the rule-formation stage below.
             with span("phase2.extract", clusters=len(flat)) as extract_span:
                 faults.fire("phase2.kernel")
-                if kernel_factory is None:
-                    kernel = Phase2Kernel(flat, metric=config.metric)
-                else:
-                    kernel = kernel_factory(flat)
+                kernel = Phase2Kernel(flat, metric=config.metric)
             stats.extract_seconds = extract_span.seconds
 
             overrides = leniency or {}

@@ -27,6 +27,7 @@ per-pair graph loop as the reference the equivalence suite in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
@@ -56,12 +57,11 @@ def pairwise_block(
 ) -> np.ndarray:
     """Rows ``[start, stop)`` of the pairwise image-distance matrix.
 
-    This is the unit of work of the blocked computation — the serial
-    kernel loops over it and the parallel kernel ships one call per
-    worker task.  Both paths evaluate this exact function on the same
-    float64 moments, so a distance matrix assembled from worker tiles is
-    bit-identical to the serially computed one (same expressions, same
-    operand shapes, same BLAS calls).
+    This is the unit of work of the blocked computation behind
+    :meth:`Phase2Kernel.pairwise_on`.  The same block recomputed anywhere
+    gives the same bits (same expressions, same operand shapes, same BLAS
+    calls); a block of a different shape may differ from it in the last
+    bits for ``d2``.
     """
     if metric == "d1":
         centroids = ls / n[:, None]
@@ -308,13 +308,8 @@ class Phase2Kernel:
         (uid-sorted) order.  Computed blocked on first use and cached.
         """
         cached = self._distances.get(partition_name)
-        if cached is None:
-            cached = self._compute_pairwise(partition_name)
-            require_finite(cached, "pairwise image distances", partition_name)
-            self._distances[partition_name] = cached
-        return cached
-
-    def _compute_pairwise(self, partition_name: str) -> np.ndarray:
+        if cached is not None:
+            return cached
         k = self.k
         n_blocks = -(-k // self.block_size) if k else 0
         with span("phase2.kernel.pairwise", k=k, blocks=n_blocks):
@@ -331,31 +326,19 @@ class Phase2Kernel:
                 )
             histograms = self._histograms.get(partition_name)
             if histograms is None:
-                return self._pairwise_blocked(self._moments[partition_name])
-            out = np.zeros((k, k), dtype=np.float64)
+                moments = self._moments[partition_name]
+                block = partial(
+                    pairwise_block, self.metric, moments.n, moments.ls, moments.ss
+                )
+            else:
+                block = partial(_nominal_block, histograms.counts, histograms.n)
+            cached = np.zeros((k, k), dtype=np.float64)
             for start in range(0, k, self.block_size):
                 stop = min(start + self.block_size, k)
-                out[start:stop] = _nominal_block(
-                    histograms.counts, histograms.n, start, stop
-                )
-            return out
-
-    def _pairwise_blocked(self, moments: ImageMoments) -> np.ndarray:
-        """The blocked CF distance-matrix computation behind ``pairwise_on``.
-
-        The parallel kernel overrides this to run the same
-        :func:`pairwise_block` calls on a worker pool and reassemble the
-        tiles; everything else (nominal partitions, caching, graph build,
-        assoc sets) is shared.
-        """
-        k = moments.k
-        out = np.zeros((k, k), dtype=np.float64)
-        for start in range(0, k, self.block_size):
-            stop = min(start + self.block_size, k)
-            out[start:stop] = pairwise_block(
-                self.metric, moments.n, moments.ls, moments.ss, start, stop
-            )
-        return out
+                cached[start:stop] = block(start, stop)
+        require_finite(cached, "pairwise image distances", partition_name)
+        self._distances[partition_name] = cached
+        return cached
 
     def distance(self, a_uid: int, b_uid: int, on: str) -> float:
         """``D(a[on], b[on])`` looked up from the cached matrices."""

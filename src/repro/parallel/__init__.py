@@ -1,20 +1,18 @@
 """Parallel mining across cores.
 
-The paper's two-phase pipeline is embarrassingly parallel: Phase I
-clusters each attribute partition independently, and Phase II's blocked
-pairwise kernel decomposes into independent row tiles.  This package
-fans both out over a process pool while staying *decision-identical* to
-the serial engine — the equivalence suite pins bit-identical rules.
+Phase I of the paper's two-phase pipeline is embarrassingly parallel: it
+clusters each attribute partition independently.  This package fans those
+scans out over a process pool while staying *decision-identical* to the
+serial engine — the equivalence suite pins bit-identical rules.  Phase II
+works on summaries alone (Thm 6.1), so it runs in process on every path.
 
 Layering (what vs. where):
 
-* :mod:`repro.parallel.tasks` — task descriptions and worker entry
-  points (*what to compute*); a task names the on-disk file region of
+* :mod:`repro.parallel.tasks` — task descriptions and the worker entry
+  point (*what to compute*); a task names the on-disk file region of
   every partition matrix (:class:`~repro.parallel.tasks.MatrixFile`),
   which the worker maps read-only, so no row data is pickled;
-* :mod:`repro.parallel.executor` — the interchangeable backends
-  (*where it runs*): serial in-process, or a process pool;
-* :mod:`repro.parallel.kernel` — the tiled Phase II kernel;
+* :mod:`repro.parallel.executor` — the process pool (*where it runs*);
 * :mod:`repro.parallel.miner` — :class:`ParallelDARMiner`, the
   coordinator that merges worker results.
 
@@ -27,32 +25,20 @@ degrade to the serial engine through the resilience ladder
 ``result.phase2.events``.
 """
 
-from repro.parallel.executor import (
-    ExecutorBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
-from repro.parallel.kernel import ParallelPhase2Kernel
+from repro.parallel.executor import ProcessPoolBackend
 from repro.parallel.miner import ParallelDARMiner
 from repro.parallel.tasks import (
     KILL_WORKER_ENV,
     MatrixFile,
     Phase1Task,
-    Phase2Tile,
     run_phase1_task,
-    run_phase2_tile,
 )
 
 __all__ = [
-    "ExecutorBackend",
-    "SerialBackend",
     "ProcessPoolBackend",
-    "ParallelPhase2Kernel",
     "ParallelDARMiner",
     "KILL_WORKER_ENV",
     "MatrixFile",
     "Phase1Task",
-    "Phase2Tile",
     "run_phase1_task",
-    "run_phase2_tile",
 ]

@@ -1,15 +1,11 @@
-"""Executor backends: *where* parallel tasks run.
+"""The process pool that runs Phase I tasks: *where* they run.
 
 The task layer (:mod:`repro.parallel.tasks`) describes *what* to compute;
-this module supplies the interchangeable "where": :class:`SerialBackend`
-runs tasks inline in submission order (the ``workers=1`` backend, whose
-miner skips tasks and runs the serial loops), and
-:class:`ProcessPoolBackend` fans them out over a
-``concurrent.futures.ProcessPoolExecutor``.  Both present one method,
-:meth:`ExecutorBackend.map_tasks`, which preserves input order in its
-results — the coordinator's merge logic is therefore identical under
-either backend, and a future distributed backend only has to honor the
-same contract.
+:class:`ProcessPoolBackend` fans those tasks out over a
+``concurrent.futures.ProcessPoolExecutor`` and returns their results in
+submission order, so the coordinator's merge does not depend on which
+worker finished first.  A ``workers=1`` mine never builds one: it runs the
+serial miner's own loops in process.
 
 Failure semantics: infrastructure failures (a worker process dying →
 ``BrokenProcessPool``, the pool failing to start, an OS error in the
@@ -43,12 +39,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.resilience import faults
 from repro.resilience.errors import InjectedFault, ReproError, WorkerPoolError
 
-__all__ = [
-    "ExecutorBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "resolve_workers",
-]
+__all__ = ["ProcessPoolBackend", "resolve_workers"]
 
 #: Environment override for the automatic worker count (a positive int).
 WORKERS_ENV = "REPRO_WORKERS"
@@ -94,38 +85,7 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-class ExecutorBackend:
-    """The contract both backends implement (context manager + map)."""
-
-    #: Number of workers the backend fans out to (1 for serial).
-    n_workers: int = 1
-
-    def map_tasks(
-        self, fn: Callable[[Any], Any], tasks: Sequence[Any]
-    ) -> List[Any]:
-        """Run ``fn`` over every task; results in task order."""
-        raise NotImplementedError
-
-    def __enter__(self) -> "ExecutorBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-class SerialBackend(ExecutorBackend):
-    """Run every task inline, in order — the ``workers=1`` backend."""
-
-    n_workers = 1
-
-    def map_tasks(
-        self, fn: Callable[[Any], Any], tasks: Sequence[Any]
-    ) -> List[Any]:
-        """Apply ``fn`` to each task in submission order."""
-        return [fn(task) for task in tasks]
-
-
-class ProcessPoolBackend(ExecutorBackend):
+class ProcessPoolBackend:
     """Fan tasks out over a ``ProcessPoolExecutor``.
 
     The executor is created lazily on ``__enter__`` and shut down with
@@ -140,8 +100,8 @@ class ProcessPoolBackend(ExecutorBackend):
     def __init__(self, workers: int, *, task_timeout: Optional[float] = None):
         if workers < 2:
             raise ValueError(
-                "ProcessPoolBackend needs at least 2 workers; use "
-                "SerialBackend for single-worker runs"
+                "ProcessPoolBackend needs at least 2 workers; a "
+                "single-worker mine runs the serial loops in process"
             )
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")

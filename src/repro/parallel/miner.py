@@ -1,32 +1,29 @@
 """The parallel two-phase miner: same decisions, more cores.
 
 :class:`ParallelDARMiner` subclasses :class:`~repro.core.miner.DARMiner`
-and overrides exactly the two hooks the serial miner exposes for this
-purpose:
+and overrides the one hook the serial miner exposes for this purpose,
+:meth:`~repro.core.miner.DARMiner._fit_partitions`: it opens a process
+pool, ships one :class:`~repro.parallel.tasks.Phase1Task` per attribute
+partition to it, and closes it before Phase I returns.  Row data stays on
+disk: a task names each partition matrix's file region
+(:class:`~repro.parallel.tasks.MatrixFile`) — the files a
+:class:`~repro.data.columnar.ColumnStore` already maps, or raw files an
+in-memory relation is spilled into, in a temp directory removed when
+Phase I ends — and the worker maps them read-only, runs
+:func:`~repro.core.miner.fit_partition` and returns ACF ``state_dict``
+payloads (a bit-exact float64 round-trip).  Phase II works on summaries
+alone (Thm 6.1) and its kernel is small, so it runs in process, exactly
+as the serial miner runs it.
 
-* :meth:`~repro.core.miner.DARMiner._fit_partitions` — ships one
-  :class:`~repro.parallel.tasks.Phase1Task` per attribute partition to
-  the pool.  Row data stays on disk: a task names each partition
-  matrix's file region (:class:`~repro.parallel.tasks.MatrixFile`) — the
-  files a :class:`~repro.data.columnar.ColumnStore` already maps, or raw
-  files an in-memory relation is spilled into, in a temp directory
-  removed when Phase I ends — and the worker maps them read-only, runs
-  :func:`~repro.core.miner.fit_partition` and returns ACF ``state_dict``
-  payloads (a bit-exact float64 round-trip).
-* :meth:`~repro.core.miner.DARMiner._make_kernel` — returns a
-  :class:`~repro.parallel.kernel.ParallelPhase2Kernel` that tiles the
-  blocked pairwise computation over the same pool.
-
-Correctness rests on two facts.  First, each Phase I task is a *whole*
-partition: the scan inside a worker is byte-for-byte the serial scan, so
-no floating-point re-association can creep in (the ACF Additivity
-Theorem would make row-sharded scans merge exactly in ``N``/``LS``/``SS``,
-but the BIRCH tree's *decisions* depend on insertion order, so the
-partition is the natural parallel unit — and per-worker ``ScanStats``
-reconcile through the same :meth:`~repro.birch.batch.ScanStats.merge`
-the serial result uses).  Second, Phase II tiles reuse the serial block
-boundaries and the shared :func:`~repro.core.phase2_kernel.pairwise_block`
-function, so assembled distance matrices are bit-identical.
+Correctness rests on each Phase I task being a *whole* partition: the
+scan inside a worker is byte-for-byte the serial scan, so no
+floating-point re-association can creep in (the ACF Additivity Theorem
+would make row-sharded scans merge exactly in ``N``/``LS``/``SS``, but
+the BIRCH tree's *decisions* depend on insertion order, so the partition
+is the natural parallel unit — and per-worker ``ScanStats`` reconcile
+through the same :meth:`~repro.birch.batch.ScanStats.merge` the serial
+result uses).  Phase II then sees the same clusters and computes the same
+bits.
 
 ``workers=1`` runs the serial miner's own in-process loops: nothing is
 spilled, shipped or round-tripped.  Pool failures surface as
@@ -46,10 +43,8 @@ import numpy as np
 
 from repro.birch.birch import Phase1Stats
 from repro.birch.features import ACF
-from repro.core.cluster import Cluster
 from repro.core.config import DARConfig
 from repro.core.miner import DARMiner, DARResult
-from repro.core.phase2_kernel import Phase2Kernel
 from repro.data.relation import AttributePartition, Relation
 from repro.obs import context as obs_context
 from repro.obs import flight as obs_flight
@@ -57,13 +52,7 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span
-from repro.parallel.executor import (
-    ExecutorBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_workers,
-)
-from repro.parallel.kernel import ParallelPhase2Kernel
+from repro.parallel.executor import ProcessPoolBackend, resolve_workers
 from repro.parallel.tasks import MatrixFile, Phase1Task, run_phase1_task
 from repro.resilience.errors import ColumnStoreError, WorkerPoolError
 
@@ -71,7 +60,7 @@ __all__ = ["ParallelDARMiner"]
 
 
 class ParallelDARMiner(DARMiner):
-    """Mines with Phase I/II fanned out over a process pool.
+    """Mines with the Phase I scans fanned out over a process pool.
 
     ``workers=None`` (or 0) resolves automatically — ``REPRO_WORKERS``
     when set, else ``os.cpu_count()`` (see
@@ -98,7 +87,6 @@ class ParallelDARMiner(DARMiner):
         super().__init__(config)
         self.workers = resolve_workers(workers)
         self.task_timeout = task_timeout
-        self._backend: Optional[ExecutorBackend] = None
 
     # ------------------------------------------------------------------
 
@@ -108,32 +96,20 @@ class ParallelDARMiner(DARMiner):
         partitions: Optional[Sequence[AttributePartition]] = None,
         targets: Optional[Sequence[str]] = None,
     ) -> DARResult:
-        """Run both phases with the worker pool held for the whole run.
+        """Run both phases; a failure leaves a ``parallel-mine`` flight dump.
 
-        The backend is opened before Phase I and closed (with queued
-        tasks cancelled) when the run ends — normally, on error, or on
-        interrupt — so no worker processes outlive the call.
+        The worker pool lives inside Phase I (:meth:`_fit_partitions`), so
+        no worker process outlives the scans.
         """
-        backend: ExecutorBackend
-        if self.workers <= 1:
-            backend = SerialBackend()
-        else:
-            backend = ProcessPoolBackend(
-                self.workers, task_timeout=self.task_timeout
-            )
-        with backend:
-            self._backend = backend
-            try:
-                result = super().mine(relation, partitions=partitions, targets=targets)
-            except Exception as error:
-                obs_flight.dump_on_error("parallel-mine", error)
-                raise
-            finally:
-                self._backend = None
+        try:
+            result = super().mine(relation, partitions=partitions, targets=targets)
+        except Exception as error:
+            obs_flight.dump_on_error("parallel-mine", error)
+            raise
         if obs_metrics.metrics_enabled():
             obs_metrics.set_gauge(
                 "repro_parallel_workers",
-                backend.n_workers,
+                self.workers,
                 help="Worker count of the latest parallel mine",
             )
         return result
@@ -148,17 +124,21 @@ class ParallelDARMiner(DARMiner):
         matrices: Mapping[str, np.ndarray],
         density: Mapping[str, float],
     ) -> Dict[str, Tuple[List[ACF], Phase1Stats]]:
-        """Fan one clustering task per partition out over the pool."""
-        assert self._backend is not None, "mine() owns the backend lifecycle"
-        backend = self._backend
-        if backend.n_workers <= 1:
+        """Fan one clustering task per partition out over a process pool.
+
+        The pool is opened here and shut down (queued tasks cancelled)
+        before this returns — normally, on error, or on interrupt.
+        """
+        if self.workers <= 1:
             return super()._fit_partitions(partition_list, matrices, density)
         trace_on = obs_trace.tracing_enabled()
         metrics_on = obs_metrics.metrics_enabled()
         log_on = obs_log.logging_enabled()
         ambient = obs_context.current()
         context_state = ambient.to_dict() if ambient is not None else None
-        with tempfile.TemporaryDirectory(prefix="repro-phase1-") as spill:
+        with ProcessPoolBackend(
+            self.workers, task_timeout=self.task_timeout
+        ) as backend, tempfile.TemporaryDirectory(prefix="repro-phase1-") as spill:
             files, spilled_bytes = _matrix_files(matrices, Path(spill))
             tasks = [
                 Phase1Task(
@@ -177,7 +157,7 @@ class ParallelDARMiner(DARMiner):
             with span(
                 "phase1.scatter",
                 tasks=len(tasks),
-                workers=backend.n_workers,
+                workers=self.workers,
                 spilled_bytes=spilled_bytes,
             ) as scatter_span:
                 dispatch_base = time.perf_counter()
@@ -197,12 +177,6 @@ class ParallelDARMiner(DARMiner):
             )
             for payload in payloads
         }
-
-    def _make_kernel(self, flat_frequent: Sequence[Cluster]) -> Phase2Kernel:
-        """A Phase II kernel whose blocks tile across the pool."""
-        return ParallelPhase2Kernel(
-            flat_frequent, metric=self.config.metric, backend=self._backend
-        )
 
     # ------------------------------------------------------------------
 

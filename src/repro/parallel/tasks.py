@@ -3,11 +3,10 @@
 This module is the "what to compute" half of the parallel engine (the
 "where it runs" half is :mod:`repro.parallel.executor`).  A
 :class:`Phase1Task` describes one attribute partition's clustering pass —
-the same unit of work the serial miner executes inline — and
-:class:`Phase2Tile` one row block of the pairwise distance matrix.  The
-worker entry points (:func:`run_phase1_task`, :func:`run_phase2_tile`)
-are plain top-level functions so ``ProcessPoolExecutor`` can pickle
-references to them under any start method.
+the same unit of work the serial miner executes inline.  The worker entry
+point :func:`run_phase1_task` is a plain top-level function so
+``ProcessPoolExecutor`` can pickle a reference to it under any start
+method.
 
 No row data crosses the process boundary: it stays on disk, and a task
 carries one :class:`MatrixFile` (path, offset, shape, dtype) per partition
@@ -35,7 +34,6 @@ import numpy as np
 
 from repro.birch.birch import BirchOptions
 from repro.core.miner import fit_partition
-from repro.core.phase2_kernel import pairwise_block
 from repro.data.relation import AttributePartition
 from repro.resilience import faults
 from repro.resilience.errors import ColumnStoreError
@@ -44,9 +42,7 @@ __all__ = [
     "KILL_WORKER_ENV",
     "MatrixFile",
     "Phase1Task",
-    "Phase2Tile",
     "run_phase1_task",
-    "run_phase2_tile",
 ]
 
 #: Set this env var to a partition name to make the worker holding that
@@ -123,23 +119,6 @@ class Phase1Task:
     metrics: bool = False
     log: bool = False
     context: Optional[Mapping[str, Any]] = None
-
-
-@dataclass(frozen=True)
-class Phase2Tile:
-    """One row block of the pairwise image-distance matrix.
-
-    The block boundaries are exactly the serial kernel's
-    (``DEFAULT_BLOCK_SIZE`` rows), so a tile computed on a worker is
-    bit-identical to the block the serial loop would have produced.
-    """
-
-    metric: str
-    n: np.ndarray
-    ls: np.ndarray
-    ss: np.ndarray
-    start: int
-    stop: int
 
 
 def _reset_worker_obs(trace: bool, metrics: bool, log: bool = False) -> None:
@@ -248,11 +227,3 @@ def run_phase1_task(task: Phase1Task) -> Dict[str, Any]:
     }
     payload.update(_export_worker_obs(task.trace, task.metrics, task.log))
     return payload
-
-
-def run_phase2_tile(tile: Phase2Tile) -> np.ndarray:
-    """Worker entry point: rows ``[start, stop)`` of the distance matrix."""
-    faults.fire("parallel.worker")
-    return pairwise_block(
-        tile.metric, tile.n, tile.ls, tile.ss, tile.start, tile.stop
-    )

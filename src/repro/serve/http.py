@@ -37,13 +37,14 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.obs import context as obs_context
 from repro.obs import flight as obs_flight
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
+from repro.obs.slo import HealthReport
 from repro.obs.trace import span
 from repro.resilience import faults
 from repro.resilience.errors import InjectedFault
@@ -133,6 +134,25 @@ class RuleServer:
         from repro.obs.slo import evaluate_pack
 
         return evaluate_pack(self.slo_pack)
+
+    def _graded_status(self) -> Tuple[Dict[str, Any], HealthReport]:
+        """The status payload and the health report it carries, graded once.
+
+        The publisher's checks and the SLO pack's rows merge into one
+        report, so ``/healthz`` and the ``/`` page always agree.
+        """
+        from repro.obs.slo import HealthReport
+
+        report = self.publisher.health()
+        slo_report = self.slo_report()
+        if slo_report is not None:
+            report = HealthReport(
+                checks=list(report.checks) + slo_report.to_health_checks()
+            )
+        payload = self.publisher.to_dict(health=report)
+        if slo_report is not None:
+            payload["slo"] = slo_report.to_dict()
+        return payload, report
 
     def start(self) -> "RuleServer":
         """Serve from a daemon thread; returns self for chaining."""
@@ -349,20 +369,9 @@ def _make_handler(server: RuleServer):
             )
 
         def _handle_healthz(self) -> None:
-            from repro.obs.slo import HealthReport
-
-            report = server.publisher.health()
-            slo_report = server.slo_report()
-            if slo_report is not None:
-                report = HealthReport(
-                    checks=list(report.checks) + slo_report.to_health_checks()
-                )
+            payload, report = server._graded_status()
             report.publish()
-            payload = server.publisher.to_dict()
             payload["uptime_seconds"] = time.time() - server.started_at
-            payload["health"] = report.to_dict()
-            if slo_report is not None:
-                payload["slo"] = slo_report.to_dict()
             status = 503 if report.status == "crit" else 200
             self._send_json(status, payload, route="/healthz")
 
@@ -376,10 +385,7 @@ def _make_handler(server: RuleServer):
         def _handle_index(self) -> None:
             from repro.report.dashboard import render_serve_page
 
-            status_payload = server.publisher.to_dict()
-            slo_report = server.slo_report()
-            if slo_report is not None:
-                status_payload["slo"] = slo_report.to_dict()
+            status_payload, _ = server._graded_status()
             document = render_serve_page(
                 status=status_payload,
                 metrics=obs_metrics.get_registry().snapshot(),

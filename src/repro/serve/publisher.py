@@ -334,8 +334,14 @@ class SnapshotPublisher:
             )
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Serving status as built-ins (the ``/healthz`` payload core)."""
+    def to_dict(self, health: Optional[HealthReport] = None) -> Dict[str, Any]:
+        """Serving status as built-ins (the ``/healthz`` payload core).
+
+        ``health`` is reported in place of a fresh :meth:`health` call —
+        the server passes the report it has already graded.
+        """
+        if health is None:
+            health = self.health()
         snapshot = self.snapshot
         return {
             "version": self.version,
@@ -345,6 +351,6 @@ class SnapshotPublisher:
             "snapshot_age_seconds": self.snapshot_age_seconds(),
             "last_failure": self._last_failure,
             "publish_failures_total": self._failures_total,
-            "health": self.health().to_dict(),
+            "health": health.to_dict(),
         }
 

@@ -14,6 +14,7 @@ from repro import obs
 from repro.core.config import DARConfig
 from repro.core.miner import DARMiner
 from repro.core.phase2 import Phase2Stats, count_support, run_phase2
+from repro.core.phase2_kernel import Phase2Kernel
 from repro.core.streaming import StreamingDARMiner
 from repro.data.relation import AttributePartition, Relation, Schema
 from repro.data.synthetic import make_clustered_relation
@@ -161,20 +162,15 @@ def test_kernel_fault_propagates(caller, relation, observed):
     assert signature(CALLERS[caller](relation, DARConfig())) == signature(clean)
 
 
-def test_graph_build_failure_propagates(relation, observed):
+def test_graph_build_failure_propagates(relation, observed, monkeypatch):
     """A kernel that builds but fails on the graph is not retried."""
-    miner = DARMiner()
 
-    class BrokenGraph:
-        def __init__(self, clusters):
-            pass
+    def broken_graph(self, *args, **kwargs):
+        raise RuntimeError("graph lost")
 
-        def build_graph(self, *args, **kwargs):
-            raise RuntimeError("tile lost")
-
-    miner._make_kernel = BrokenGraph
-    with pytest.raises(RuntimeError, match="tile lost"):
-        miner.mine(relation)
+    monkeypatch.setattr(Phase2Kernel, "build_graph", broken_graph)
+    with pytest.raises(RuntimeError, match="graph lost"):
+        DARMiner().mine(relation)
     assert degradations(observed) == 0
 
 

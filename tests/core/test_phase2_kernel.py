@@ -21,7 +21,7 @@ from repro.core.config import DARConfig
 from repro.core.graph import build_clustering_graph
 from repro.core.miner import DARMiner
 from repro.core.phase2 import _form_rules
-from repro.core.phase2_kernel import Phase2Kernel
+from repro.core.phase2_kernel import Phase2Kernel, pairwise_block
 from repro.data.relation import AttributePartition
 from repro.data.synthetic import make_clustered_relation, make_planted_rule_relation
 from repro.mixed.cluster import MixedCluster
@@ -149,6 +149,27 @@ class TestKernelMatrices:
         assert kernel.distance(a, b, name) == pytest.approx(
             kernel.distance(b, a, name), abs=1e-12
         )
+
+    def test_blocks_deterministic_and_close_to_full(self):
+        # Bit-identity holds per *operand shape*: the same block recomputed
+        # anywhere (any process, any time) gives the same bits.  A block
+        # of a different shape (the full matrix) may differ in the last
+        # BLAS bits for d2, so cross-shape we only claim closeness.
+        rng = np.random.default_rng(3)
+        k = 23
+        n = rng.integers(1, 9, size=k).astype(float)
+        ls = rng.normal(size=(k, 2))
+        ss = (ls**2).sum(axis=1) / n + rng.uniform(0.1, 2.0, size=k)
+        for metric in ("d1", "d2"):
+            full = pairwise_block(metric, n, ls, ss, 0, k)
+            assert np.array_equal(full, pairwise_block(metric, n, ls, ss, 0, k))
+            for start in range(0, k, 7):
+                stop = min(start + 7, k)
+                block = pairwise_block(metric, n, ls, ss, start, stop)
+                assert np.array_equal(
+                    block, pairwise_block(metric, n, ls, ss, start, stop)
+                )
+                np.testing.assert_allclose(block, full[start:stop], atol=1e-12)
 
     def test_duplicate_uid_rejected(self):
         clusters = random_population(seed=4, n_clusters=3)

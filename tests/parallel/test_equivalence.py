@@ -3,14 +3,16 @@
 The parallel coordinator's headline claim is *bit-identity*, not
 tolerance-equality: the parallel unit of Phase I is a whole attribute
 partition (same scan bytes, same insertion decisions, same ACF moments)
-and Phase II tiles reuse the serial engine's exact block boundaries, so
-every float in the result must match the serial engine to the last bit.
-These tests pin that on the synthetic workloads, on random relations via
-Hypothesis, and at the backend level (ordering, pairwise tiles).
+and Phase II runs in process on the same clusters, so every float in the
+result must match the serial engine to the last bit.  These tests pin
+that on the synthetic workloads, on random relations via Hypothesis, at
+the pool level (ordering, error propagation), and at the pool's boundary
+(no worker is alive once Phase II starts).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -20,14 +22,11 @@ from hypothesis import strategies as st
 
 from repro.core.config import DARConfig
 from repro.core.miner import DARMiner
-from repro.core.phase2_kernel import Phase2Kernel, pairwise_block
+from repro.core.phase2_kernel import Phase2Kernel
 from repro.data.relation import Relation, Schema
 from repro.data.synthetic import make_clustered_relation, make_planted_rule_relation
-from repro.parallel import (
-    ParallelDARMiner,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.obs import trace as obs_trace
+from repro.parallel import ParallelDARMiner, ProcessPoolBackend
 
 
 def rule_signature(result):
@@ -189,11 +188,6 @@ class TestMinerEquivalence:
 
 
 class TestBackends:
-    def test_serial_backend_preserves_order(self):
-        with SerialBackend() as backend:
-            assert backend.map_tasks(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
-            assert backend.n_workers == 1
-
     def test_pool_backend_preserves_order(self):
         with ProcessPoolBackend(workers=2) as backend:
             assert backend.map_tasks(abs, [-3, 1, -2, 5]) == [3, 1, 2, 5]
@@ -217,40 +211,29 @@ def _raise_validation(_):
     raise ValidationError("a data error must propagate unchanged")
 
 
-class TestPairwiseTiles:
-    def test_blocks_deterministic_and_close_to_full(self):
-        # Bit-identity holds per *operand shape*: the same tile recomputed
-        # anywhere (any process, any time) gives the same bits, which is
-        # what lets the parallel kernel reuse the serial block boundaries.
-        # A tile of a different shape (the full matrix) may differ in the
-        # last BLAS bits for d2, so cross-shape we only claim closeness.
-        rng = np.random.default_rng(3)
-        k = 23
-        n = rng.integers(1, 9, size=k).astype(float)
-        ls = rng.normal(size=(k, 2))
-        ss = (ls**2).sum(axis=1) / n + rng.uniform(0.1, 2.0, size=k)
-        for metric in ("d1", "d2"):
-            full = pairwise_block(metric, n, ls, ss, 0, k)
-            assert np.array_equal(full, pairwise_block(metric, n, ls, ss, 0, k))
-            for start in range(0, k, 7):
-                stop = min(start + 7, k)
-                tile = pairwise_block(metric, n, ls, ss, start, stop)
-                assert np.array_equal(
-                    tile, pairwise_block(metric, n, ls, ss, start, stop)
-                )
-                np.testing.assert_allclose(tile, full[start:stop], atol=1e-12)
+class TestPoolBoundary:
+    def test_phase2_runs_after_the_pool_is_gone(self, monkeypatch):
+        """The pool lives inside Phase I: no worker is alive when the
+        Phase II kernel is built, and no pairwise block leaves the
+        process, even when the kernel splits the work into many blocks."""
+        before = {child.pid for child in multiprocessing.active_children()}
+        alive_at_kernel = []
+        original = Phase2Kernel.__init__
 
-    def test_parallel_kernel_bits_match_serial(self):
-        from repro.parallel.kernel import ParallelPhase2Kernel
-        from tests.core.test_phase2_kernel import random_population
+        def spy(self, clusters, metric="d2", block_size=None):
+            alive_at_kernel.append([
+                child.pid for child in multiprocessing.active_children()
+                if child.pid not in before
+            ])
+            original(self, clusters, metric=metric, block_size=4)
 
-        clusters = random_population(5, n_clusters=40)
-        serial = Phase2Kernel(clusters, metric="d2", block_size=16)
-        with ProcessPoolBackend(workers=2) as backend:
-            parallel = ParallelPhase2Kernel(
-                clusters, metric="d2", block_size=16, backend=backend
-            )
-            for name in ("x", "y", "z"):
-                assert np.array_equal(
-                    parallel.pairwise_on(name), serial.pairwise_on(name)
-                )
+        monkeypatch.setattr(Phase2Kernel, "__init__", spy)
+        relation, _ = make_planted_rule_relation(seed=7)
+        tracer = obs_trace.enable_tracing()
+        result = ParallelDARMiner(DARConfig(), workers=2).mine(relation)
+        names = {record.name for record in tracer.spans()}
+        assert result.rules
+        assert alive_at_kernel == [[]]
+        assert "phase1.scatter" in names
+        assert "phase2.kernel.pairwise" in names
+        assert "phase2.kernel.scatter" not in names

@@ -133,3 +133,36 @@ class TestHealthzSLO:
         assert payload["slo"]["status"] in ("ok", "warn", "crit")
         names = [check["name"] for check in payload["health"]["checks"]]
         assert "slo:serve_query_p99_seconds" in names
+
+    def test_healthz_and_page_grade_once_and_agree(
+        self, planted_result, monkeypatch
+    ):
+        from repro.obs import slo as obs_slo
+
+        always_crit = obs_slo.SLORule(
+            name="always_crit", metric="repro_no_such_metric",
+            threshold=0.0, absent="violate",
+        )
+        publisher = SnapshotPublisher(planted_result)
+        graded = []
+        original = publisher.health
+
+        def counting_health():
+            graded.append(1)
+            return original()
+
+        monkeypatch.setattr(publisher, "health", counting_health)
+        with RuleServer(publisher, port=0, slo_pack=[always_crit]).start() as server:
+            status, _, body = _get(server.url, "/healthz")
+            assert len(graded) == 1
+            page_status, _, page = _get(server.url, "/")
+            assert len(graded) == 2
+        assert status == 503
+        assert json.loads(body)["health"]["status"] == "crit"
+        assert page_status == 200
+        badge = re.search(
+            r"<h2>Health <span class=\"badge\">.*?</span> (\w+)</span></h2>",
+            page.decode("utf-8"),
+        )
+        assert badge is not None
+        assert badge.group(1) == "CRIT"
